@@ -6,22 +6,21 @@ order is partial, such a least element need not exist; the result then
 has an empty best set and the minimal front (candidates whose distance
 nothing strictly precedes) is reported as the honest diagnostic.
 
-Two minimal-front routines are provided: a definitional all-pairs scan
-that works for any pointed cone, and a divide-and-conquer routine for
-the componentwise (orthant) order that sorts on the first coordinate and
-merges with staircase queries.
+Every order question here is decided on integer projections of the
+distances through the cone rows (``project``), where the cone order is
+the componentwise order. Two minimal-front routines are provided: a
+definitional all-pairs scan, and a divide-and-conquer routine for cones
+with at most three rows that sorts on the first projected coordinate
+and merges with staircase queries (Kung, Luccio & Preparata, 1975).
 """
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cones import OrderedSpace, Vec
+from .cones import OrderedSpace, Vec, project
 from .errors import DimensionMismatch
 from .metric import Label, QcmInstance, transpose
 
@@ -86,35 +85,25 @@ def best_approximation_set(
     """Compute the best-approximation set by its definition.
 
     The best set collects candidates whose distance precedes every other
-    candidate's distance; it may be empty. When it is nonempty all its
-    members share one distance value (antisymmetry of the order over a
-    pointed cone), reported as ``common_distance``.
+    candidate's distance; it may be empty. On the projected distances
+    these are exactly the candidates whose image equals the componentwise
+    minimum. When it is nonempty all its members share one distance value
+    (antisymmetry of the order over a pointed cone), reported as
+    ``common_distance``.
     """
     instance.require_points([query.q])
     instance.require_points(query.candidates)
     labels = sorted(query.candidates)
-    values = [
-        (h, directed_distance(instance, query.q, h, query.direction)) for h in labels
-    ]
-    leq = instance.space.leq
-    best = frozenset(
-        h for h, v in values if all(leq(v, w) for _, w in values)
-    )
-    common = None
-    if best:
-        common = directed_distance(
-            instance, query.q, min(best), query.direction
-        )
-    front = minimal_front_naive(values, instance.space)
+    values = [directed_distance(instance, query.q, h, query.direction) for h in labels]
+    points = project(instance.space.cone, values)
+    floor = tuple(map(min, zip(*points)))
+    best_at = [i for i, p in enumerate(points) if p == floor]
+    best = frozenset(labels[i] for i in best_at)
+    common = values[best_at[0]] if best_at else None
 
-    comparable = 0
-    total = 0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            total += 1
-            vi, vj = values[i][1], values[j][1]
-            if leq(vi, vj) or leq(vj, vi):
-                comparable += 1
+    dominated, comparable = _pairwise_scan(points)
+    front = frozenset(h for h, d in zip(labels, dominated) if not d)
+    total = len(labels) * (len(labels) - 1) // 2
     stats = DominanceStats(total, comparable, total - comparable)
     return ApproximationResult(best, common, front, stats)
 
@@ -134,90 +123,57 @@ def duality_check(instance: QcmInstance, q: Label, candidates: Iterable[Label]) 
 # Minimal fronts
 # ---------------------------------------------------------------------------
 
-def _componentwise_grid(vecs: Sequence[Vec]) -> list[tuple[int, ...]]:
-    """Rescale each coordinate by the lcm of its denominators.
+def _pairwise_scan(points: list[tuple[int, ...]]) -> tuple[list[bool], int]:
+    """All-pairs O(n^2) scan of integer points in the componentwise order.
 
-    Positive per-coordinate scaling preserves the componentwise order
-    exactly, and integer tuples compare much faster than Fractions.
+    Returns which points something strictly precedes, and how many
+    unordered pairs are comparable. Equal points are comparable and never
+    exclude each other.
     """
-    dim = vecs[0].dimension
-    scales = [
-        reduce(lcm, (v[j].denominator for v in vecs), 1) for j in range(dim)
-    ]
-    return [
-        tuple(c.numerator * (scales[j] // c.denominator) for j, c in enumerate(v))
-        for v in vecs
-    ]
-
-
-def _pairwise_dominated_grid(points: list[tuple[int, ...]]) -> list[bool]:
     n = len(points)
     dominated = [False] * n
-    dim = len(points[0]) if points else 0
-    # unrolled comparisons for the common dimensions; the scan is the same
+    comparable = 0
+    rows = len(points[0]) if points else 0
+    # unrolled comparisons for two and three rows; the scan is the same
     # all-pairs O(n^2) either way
-    if dim == 2:
+    if rows == 2:
         for i in range(n):
             ax, ay = points[i]
             for j in range(i + 1, n):
                 bx, by = points[j]
                 if ax <= bx and ay <= by:
+                    comparable += 1
                     if ax != bx or ay != by:
                         dominated[j] = True
                 elif bx <= ax and by <= ay:
+                    comparable += 1
                     dominated[i] = True
-        return dominated
-    if dim == 3:
+        return dominated, comparable
+    if rows == 3:
         for i in range(n):
             ax, ay, az = points[i]
             for j in range(i + 1, n):
                 bx, by, bz = points[j]
                 if ax <= bx and ay <= by and az <= bz:
+                    comparable += 1
                     if ax != bx or ay != by or az != bz:
                         dominated[j] = True
                 elif bx <= ax and by <= ay and bz <= az:
+                    comparable += 1
                     dominated[i] = True
-        return dominated
+        return dominated, comparable
     for i in range(n):
         a = points[i]
         for j in range(i + 1, n):
             b = points[j]
-            if a == b:
-                continue
-            a_le = True
-            b_le = True
-            for x, y in zip(a, b):
-                if x > y:
-                    a_le = False
-                    if not b_le:
-                        break
-                elif x < y:
-                    b_le = False
-                    if not a_le:
-                        break
-            if a_le:
-                dominated[j] = True
-            elif b_le:
+            if all(x <= y for x, y in zip(a, b)):
+                comparable += 1
+                if a != b:
+                    dominated[j] = True
+            elif all(y <= x for x, y in zip(a, b)):
+                comparable += 1
                 dominated[i] = True
-    return dominated
-
-
-def _pairwise_dominated_cone(vecs: list[Vec], space: OrderedSpace) -> list[bool]:
-    contains = space.cone.contains
-    n = len(vecs)
-    dominated = [False] * n
-    for i in range(n):
-        a = vecs[i]
-        for j in range(i + 1, n):
-            b = vecs[j]
-            if a == b:
-                continue
-            diff = b - a
-            if contains(diff):
-                dominated[j] = True
-            elif contains(-diff):
-                dominated[i] = True
-    return dominated
+    return dominated, comparable
 
 
 def _check_values(
@@ -245,12 +201,7 @@ def minimal_front_naive(
     values never exclude each other, so exact duplicates are all kept.
     """
     labels, vecs = _check_values(values, space)
-    if not labels:
-        return frozenset()
-    if space.cone.is_orthant():
-        dominated = _pairwise_dominated_grid(_componentwise_grid(vecs))
-    else:
-        dominated = _pairwise_dominated_cone(vecs, space)
+    dominated, _ = _pairwise_scan(project(space.cone, vecs))
     return frozenset(l for l, d in zip(labels, dominated) if not d)
 
 
@@ -259,36 +210,30 @@ def minimal_front_dnc(
 ) -> frozenset[Label]:
     """Minimal elements by divide and conquer on a sorted first coordinate.
 
-    Requires the componentwise (orthant) order. Points are grouped by
-    first coordinate; halves are solved recursively and the right half is
-    filtered against the left using a weak-dominance staircase over the
-    remaining coordinates. O(n log n) in the plane, O(n log^2 n) in three
-    dimensions. Non-orthant cones (and dimensions above three) fall back
-    to the pairwise scan with a warning.
+    Works on the projected distances, so it serves every cone with at most
+    three rows. Points are grouped by first projected coordinate; halves
+    are solved recursively and the right half is filtered against the left
+    using a weak-dominance staircase over the remaining coordinates.
+    O(n log n) for two rows, O(n log^2 n) for three. Cones with more rows
+    fall back to the pairwise scan with a warning.
     """
     labels, vecs = _check_values(values, space)
     if not labels:
         return frozenset()
-    if not space.cone.is_orthant():
+    rows = len(space.cone.rows)
+    if rows > 3:
         warnings.warn(
-            "cone is not the nonnegative orthant; falling back to the pairwise scan",
-            MinimalFrontFallback,
-            stacklevel=2,
-        )
-        return minimal_front_naive(values, space)
-    if space.dimension > 3:
-        warnings.warn(
-            f"no divide-and-conquer specialisation for dimension {space.dimension}; "
+            f"no divide-and-conquer specialisation for {rows} cone rows; "
             "falling back to the pairwise scan",
             MinimalFrontFallback,
             stacklevel=2,
         )
-        return minimal_front_naive(values, space)
-    points = _componentwise_grid(vecs)
-    if space.dimension == 1:
+        return minimal_front_naive(zip(labels, vecs), space)
+    points = project(space.cone, vecs)
+    if rows == 1:
         least = min(p[0] for p in points)
         keep = [i for i, p in enumerate(points) if p[0] == least]
-    elif space.dimension == 2:
+    elif rows == 2:
         keep = _front_2d(list(enumerate(points)))
     else:
         keep = _front_3d(list(enumerate(points)))

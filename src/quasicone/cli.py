@@ -2,10 +2,11 @@
 against declarative instance files.
 
 Reports go to stdout (or ``--out``) and are byte-identical for identical
-inputs and seed; wall-clock timing goes to stderr so it never perturbs a
-report. Exit codes: 0 success, 2 file parse error, 3 semantic error
-(unknown labels, missing embedding, bad selectors), 4 axiom failure,
-5 verdict failure (a witness check or classification that does not hold).
+inputs (and, for ``verify``, the same ``--seed``); wall-clock timing goes
+to stderr so it never perturbs a report. Exit codes: 0 success, 2 file
+parse error, 3 semantic error (unknown labels, missing embedding, bad
+selectors), 4 axiom failure, 5 verdict failure (a witness check or
+classification that does not hold).
 """
 from __future__ import annotations
 
@@ -41,8 +42,9 @@ from .files import (
 )
 from .metric import build_example3, build_example4, verify_axioms
 from .witnesses import (
+    WitnessVerdict,
+    _certified,
     canonical_witness,
-    verify_witness_for_element,
     verify_witness_for_set,
 )
 
@@ -132,13 +134,9 @@ def _run(command):
         click.echo(f"elapsed: {elapsed:.3f}s", err=True)
 
 
-def _common_options(fn):
+def _report_options(fn):
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="Write the report to this file instead of stdout.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed for the sampled checks; echoed in the report.")(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      help="Worker processes for the exhaustive triple checks.")(fn)
     fn = click.option("--pretty", is_flag=True, help="Human-readable report.")(fn)
     return fn
 
@@ -169,20 +167,21 @@ def _pretty_axioms(doc: dict) -> str:
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_common_options
-def verify(path, out, seed, jobs, pretty):
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed for the C1 nonzero-member search; echoed in the report.")
+@_report_options
+def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
 
     def body():
         loaded = _load(path)
         instance = loaded.instance
         cone_report = check_cone_axioms(instance.space.cone, seed=seed)
-        metric_report = verify_axioms(instance, jobs=jobs)
+        metric_report = verify_axioms(instance)
         doc = {
             "command": "verify",
             "file": path,
             "seed": seed,
-            "jobs": jobs,
             "points": len(instance.points),
             "cone_axioms": axiom_report_json(cone_report),
             "metric_axioms": axiom_report_json(metric_report),
@@ -223,8 +222,8 @@ def _pretty_approx(results: list[dict]) -> str:
               help="Which file query to run: 'all', an index, or a target label.")
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
               help="Override the direction of the selected queries.")
-@_common_options
-def approx(path, selector, direction, out, seed, jobs, pretty):
+@_report_options
+def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
 
     def body():
@@ -237,8 +236,6 @@ def approx(path, selector, direction, out, seed, jobs, pretty):
         doc = {
             "command": "approx",
             "file": path,
-            "seed": seed,
-            "jobs": jobs,
             "results": results,
         }
         _finish(doc, out, _pretty_approx(results) if pretty else None)
@@ -278,8 +275,8 @@ def _pretty_witness(doc: dict) -> str:
 @click.option("--members", multiple=True,
               help="Check the witness for exactly these members (repeatable).")
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None)
-@_common_options
-def witness(path, mode, selector, witness_path, members, direction, out, seed, jobs, pretty):
+@_report_options
+def witness(path, mode, selector, witness_path, members, direction, out, pretty):
     """Emit the canonical witness for a query, or check a witness file.
 
     In check mode without --members, the verdict holds when the table
@@ -299,7 +296,6 @@ def witness(path, mode, selector, witness_path, members, direction, out, seed, j
                 "command": "witness",
                 "mode": "emit",
                 "file": path,
-                "seed": seed,
                 "witness": wdoc,
             }
             _finish(doc, out, _pretty_witness(doc) if pretty else None)
@@ -317,21 +313,12 @@ def witness(path, mode, selector, witness_path, members, direction, out, seed, j
             )
             certified = sorted(members) if verdict.holds else []
         else:
-            certified = [
-                h
-                for h in candidates
-                if verify_witness_for_element(loaded.instance, table, candidates, h).holds
-            ]
-            verdict = verify_witness_for_set(
-                loaded.instance, table, candidates, certified
-            )
-            if verdict.holds and not certified:
-                verdict = None
+            certified = _certified(loaded.instance, table, candidates)
+            verdict = WitnessVerdict(True) if certified else None
         doc = {
             "command": "witness",
             "mode": "check",
             "file": path,
-            "seed": seed,
             "witness": {"q": table.q, "direction": table.direction},
             "certified": certified,
         }
@@ -384,8 +371,8 @@ def _pretty_classify(doc: dict) -> str:
 @click.option("--pseudo/--no-pseudo", "pseudo", default=None,
               help="Force or skip the linear-independence census "
                    "(default: run it when the file has an embedding).")
-@_common_options
-def classify_cmd(path, direction, pseudo, out, seed, jobs, pretty):
+@_report_options
+def classify_cmd(path, direction, pseudo, out, pretty):
     """Classify the candidate set over the file's query family.
 
     The family is taken from the file's queries (which must share one
@@ -419,8 +406,6 @@ def classify_cmd(path, direction, pseudo, out, seed, jobs, pretty):
         doc = {
             "command": "classify",
             "file": path,
-            "seed": seed,
-            "jobs": jobs,
             **chebyshev_report_json(report),
         }
         _finish(doc, out, _pretty_classify(doc) if pretty else None)

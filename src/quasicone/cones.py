@@ -12,6 +12,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ConeNotPointed, ConeNotSolid, DimensionMismatch, NotARational
@@ -165,6 +167,10 @@ def exact_rank(vectors: Iterable[Sequence[Fraction] | Vec]) -> int:
     rows = [list(_as_vec(v)) for v in vectors]
     if not rows:
         return 0
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch(
+            f"vectors of differing dimension: {sorted({len(row) for row in rows})}"
+        )
     _, pivots = _reduced_echelon(rows)
     return len(pivots)
 
@@ -363,6 +369,35 @@ class OrderedSpace:
         return self.cone.interior_contains(r - s)
 
 
+def project(cone: PolyhedralCone, vecs: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """Integer images A x of the vectors, one coordinate per cone row.
+
+    For a pointed cone K = {x : A x >= 0} the row matrix A is injective,
+    so s <= r in the cone order exactly when A s <= A r componentwise,
+    and s == r exactly when the images are equal. Every vector is put on
+    one integer grid per axis, then each row is scaled by the lcm of its
+    denominators on that grid: image coordinate k is a_k . x times one
+    positive factor shared by the whole list. Images from one call
+    therefore compare, add and subtract exactly like the vectors; images
+    from different calls must not be mixed.
+    """
+    dim = cone.dimension
+    if any(v.dimension != dim for v in vecs):
+        raise DimensionMismatch(f"every vector must have the cone's dimension {dim}")
+    axis = [reduce(lcm, (v.coords[j].denominator for v in vecs), 1) for j in range(dim)]
+    weights = []
+    for row in cone.rows:
+        on_grid = [a / d for a, d in zip(row, axis)]
+        scale = reduce(lcm, (c.denominator for c in on_grid), 1)
+        weights.append(
+            [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(on_grid) if c]
+        )
+    grid = [
+        [c.numerator * (d // c.denominator) for c, d in zip(v.coords, axis)] for v in vecs
+    ]
+    return [tuple(sum(w * x[j] for j, w in row) for row in weights) for x in grid]
+
+
 # ---------------------------------------------------------------------------
 # Cone axiom checking
 # ---------------------------------------------------------------------------
@@ -397,31 +432,21 @@ def _sample_members(
     return members
 
 
-def check_cone_axioms(
-    cone: PolyhedralCone,
-    samples: Iterable[tuple[Vec, Vec, Fraction, Fraction]] | None = None,
-    *,
-    seed: int = 0,
-    sample_count: int = 100,
-) -> AxiomReport:
+def check_cone_axioms(cone: PolyhedralCone, *, seed: int = 0) -> AxiomReport:
     """Check the three cone axioms on a halfspace cone.
 
-    Nontriviality is checked by exhibiting a nonzero member; closure
-    under nonnegative combinations is sampled (it holds by construction
-    for halfspace cones, so this is a smoke test with a visible seed);
+    Nontriviality is checked by exhibiting a nonzero member, searched for
+    pseudo-randomly from ``seed`` when the cone has no interior point;
+    closure under nonnegative combinations holds by construction for an
+    intersection of halfspaces and is reported without a check;
     pointedness is decided exactly via the rank of the row matrix.
-
-    ``samples`` may supply explicit ``(x, y, a, b)`` tuples with x, y cone
-    members and a, b nonnegative scalars; otherwise ``sample_count`` tuples
-    are generated pseudo-randomly from ``seed``.
     """
-    rng = random.Random(seed)
     checks = []
 
     # C1: a nonzero member (closedness holds by construction, not tested)
     nonzero = cone.interior_point
-    members = _sample_members(cone, rng)
     if nonzero is None:
+        members = _sample_members(cone, random.Random(seed))
         nonzero = next((m for m in members if not m.is_zero), None)
     if nonzero is not None:
         checks.append(
@@ -443,31 +468,13 @@ def check_cone_axioms(
             )
         )
 
-    # C2: sampled closure under nonnegative combinations
-    if samples is None:
-        pool = [m for m in members if not m.is_zero] or members
-        sample_list = []
-        for _ in range(sample_count):
-            x = rng.choice(pool)
-            y = rng.choice(pool)
-            a = Fraction(rng.randint(0, 8), rng.randint(1, 4))
-            b = Fraction(rng.randint(0, 8), rng.randint(1, 4))
-            sample_list.append((x, y, a, b))
-    else:
-        sample_list = list(samples)
-    c2_failure = None
-    for x, y, a, b in sample_list:
-        combo = a * x + b * y
-        if not cone.contains(combo):
-            c2_failure = {"x": x, "y": y, "a": a, "b": b, "combination": combo}
-            break
     checks.append(
         AxiomCheck(
             axiom="C2",
-            passed=c2_failure is None,
-            checks=len(sample_list),
-            counterexample=c2_failure,
-            note=f"sampled with seed={seed}" if samples is None else "caller-supplied samples",
+            passed=True,
+            checks=0,
+            note="closed under nonnegative combinations by construction "
+            "(an intersection of halfspaces)",
         )
     )
 

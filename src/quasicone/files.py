@@ -185,9 +185,11 @@ def parse_instance(doc: dict) -> LoadedInstance:
         emb_doc = doc["embedding"]
         if not isinstance(emb_doc, dict):
             raise _fail("embedding", "expected an object mapping labels to vectors")
-        embedding = {
-            label: _vec(value, f"embedding[{label!r}]") for label, value in emb_doc.items()
-        }
+        embedding = {}
+        dimension = None  # the first vector fixes the dimension for the rest
+        for label, value in emb_doc.items():
+            embedding[label] = _vec(value, f"embedding[{label!r}]", dimension)
+            dimension = embedding[label].dimension
     return LoadedInstance(instance, queries, embedding)
 
 

@@ -12,7 +12,9 @@ Membership in the best set is equivalent to the existence of such an f,
 and the canonical table f(x) = d(q, x) always realizes the forward
 implication, so verification against the canonical witness is a second,
 independent route to the best set (the backward direction mirrors with
-d(x, q)).
+d(x, q)). For each table and candidate set, f and the distances are
+projected once through the cone rows, and every member is decided from
+that one projection by integer comparisons.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .approximation import (
     best_approximation_set,
     directed_distance,
 )
-from .cones import Vec
-from .errors import UnknownLabel
+from .cones import Vec, project
+from .errors import DimensionMismatch
 from .metric import Label, QcmInstance
 
 ANCHOR_EQUALITY = "anchor-equality"
@@ -96,7 +98,62 @@ def _validate(instance: QcmInstance, witness: WitnessTable, candidates: Iterable
     for x in instance.points:
         if x not in witness.f:
             raise ValueError(f"witness table does not cover ground-set point {x!r}")
+        if witness.f[x].dimension != instance.space.dimension:
+            raise DimensionMismatch(
+                f"witness value for {x!r} has dimension {witness.f[x].dimension}, "
+                f"space has {instance.space.dimension}"
+            )
     return candidates
+
+
+def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+class _Conditions:
+    """The three conditions for every anchor in one candidate set.
+
+    f and the distance row over the candidates are projected once, in one
+    call so that their images share a scale; each anchor is then decided
+    by integer comparisons, and a counterexample vector is built only for
+    a failing verdict.
+    """
+
+    def __init__(self, instance: QcmInstance, witness: WitnessTable, candidates: list[Label]):
+        self.candidates = candidates
+        self.f = [witness.value(x) for x in candidates]
+        self.d = [directed_distance(instance, witness.q, x, witness.direction) for x in candidates]
+        images = project(instance.space.cone, self.f + self.d)
+        self.pf, self.pd = images[: len(candidates)], images[len(candidates) :]
+        self.floor = tuple(map(min, zip(*self.pf)))
+        self.gap = next(
+            (i for i, (f, d) in enumerate(zip(self.pf, self.pd)) if not _leq(f, d)), None
+        )
+
+    def verdict(self, i: int) -> WitnessVerdict:
+        """The first failing condition for anchor i, in the order anchor,
+        shift, gap, with its first failing candidate in label order."""
+        if self.pf[i] != self.pd[i]:
+            return WitnessVerdict(False, ANCHOR_EQUALITY, (self.candidates[i], self.f[i]))
+        if not _leq(self.pf[i], self.floor):
+            x = next(x for x, p in enumerate(self.pf) if not _leq(self.pf[i], p))
+            return WitnessVerdict(
+                False, SHIFT_NOT_IN_CONE, (self.candidates[x], self.f[x] - self.f[i])
+            )
+        if self.gap is not None:
+            x = self.gap
+            return WitnessVerdict(
+                False, GAP_NOT_IN_CONE, (self.candidates[x], self.d[x] - self.f[x])
+            )
+        return WitnessVerdict(True)
+
+
+def _certified(
+    instance: QcmInstance, witness: WitnessTable, candidates: Iterable[Label]
+) -> list[Label]:
+    """The candidates the table certifies, in label order."""
+    conditions = _Conditions(instance, witness, _validate(instance, witness, candidates))
+    return [h for i, h in enumerate(conditions.candidates) if conditions.verdict(i).holds]
 
 
 def verify_witness_for_element(
@@ -113,19 +170,7 @@ def verify_witness_for_element(
     candidates = _validate(instance, witness, candidates)
     if h not in candidates:
         raise ValueError(f"anchored element {h!r} is not in the candidate set")
-    cone = instance.space.cone
-    anchor = witness.value(h)
-    if anchor != directed_distance(instance, witness.q, h, witness.direction):
-        return WitnessVerdict(False, ANCHOR_EQUALITY, (h, anchor))
-    for x in candidates:
-        shift = witness.value(x) - anchor
-        if not cone.contains(shift):
-            return WitnessVerdict(False, SHIFT_NOT_IN_CONE, (x, shift))
-    for x in candidates:
-        gap = directed_distance(instance, witness.q, x, witness.direction) - witness.value(x)
-        if not cone.contains(gap):
-            return WitnessVerdict(False, GAP_NOT_IN_CONE, (x, gap))
-    return WitnessVerdict(True)
+    return _Conditions(instance, witness, candidates).verdict(candidates.index(h))
 
 
 def verify_witness_for_set(
@@ -137,9 +182,10 @@ def verify_witness_for_set(
     """Check one shared table against every member of a set.
 
     Holds iff the three conditions hold for each member under the single
-    f. A valid shared witness forces the members' distances to agree, so
-    equal anchors are checked as part of the verdict. The empty member
-    set holds vacuously.
+    f; the verdict of the first failing member, in label order, is
+    returned. A valid shared witness forces the members' distances to
+    agree, since each member's anchor precedes every other's and the
+    order is antisymmetric. The empty member set holds vacuously.
     """
     candidates = _validate(instance, witness, candidates)
     members = sorted(set(members))
@@ -148,16 +194,11 @@ def verify_witness_for_set(
         raise ValueError(
             f"members {missing} are not contained in the candidate set"
         )
+    conditions = _Conditions(instance, witness, candidates)
     for m in members:
-        verdict = verify_witness_for_element(instance, witness, candidates, m)
+        verdict = conditions.verdict(candidates.index(m))
         if not verdict.holds:
             return verdict
-    if members:
-        shared = directed_distance(instance, witness.q, members[0], witness.direction)
-        for m in members[1:]:
-            anchor = directed_distance(instance, witness.q, m, witness.direction)
-            if anchor != shared:
-                return WitnessVerdict(False, ANCHOR_EQUALITY, (m, anchor))
     return WitnessVerdict(True)
 
 
@@ -190,9 +231,9 @@ def search_counterexample_witness(
 
     Any set certified by any table is contained in the best set, so the
     search space collapses: compute the best set, and if it has fewer
-    than two members no table in any pool can succeed. Otherwise filter
-    each pool table down to the members it certifies and return the
-    first table certifying two or more.
+    than two members no table in any pool can succeed. Otherwise return
+    the first pool table certifying two or more candidates; one table
+    certifies a set exactly when it certifies each member.
     """
     candidates = frozenset(candidates)
     best = best_approximation_set(instance, Query(q, candidates, direction)).best
@@ -201,13 +242,7 @@ def search_counterexample_witness(
     if pool is None:
         pool = default_witness_pool(instance, q, direction)
     for witness in pool:
-        certified = frozenset(
-            m
-            for m in sorted(best)
-            if verify_witness_for_element(instance, witness, candidates, m).holds
-        )
-        if len(certified) >= 2 and verify_witness_for_set(
-            instance, witness, candidates, certified
-        ).holds:
-            return witness, certified
+        certified = _certified(instance, witness, candidates)
+        if len(certified) >= 2:
+            return witness, frozenset(certified)
     return None

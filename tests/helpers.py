@@ -2,7 +2,10 @@
 from fractions import Fraction
 import random
 
-from quasicone import OrderedSpace, QcmInstance, Query, Vec
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from quasicone import OrderedSpace, PolyhedralCone, QcmInstance, Query, Vec, exact_rank
 
 
 def rational_grid(start, stop, step):
@@ -64,3 +67,20 @@ def seeded_instances(count: int, seed: int, max_points=8, max_candidates=6, dim=
         instance = random_table_instance(rng, max_points=max_points, dim=dim)
         pairs.append((instance, random_query(rng, instance, max_candidates)))
     return pairs
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def vectors(dim: int):
+    return st.tuples(*[small_rationals] * dim).map(Vec)
+
+
+@st.composite
+def pointed_cones(draw, max_rows: int):
+    """Random pointed cones in Q^1..Q^3 with at most ``max_rows`` rows:
+    skew rows, redundant rows and more rows than the dimension all occur."""
+    dim = draw(st.integers(min_value=1, max_value=min(3, max_rows)))
+    rows = draw(st.lists(vectors(dim), min_size=dim, max_size=max_rows))
+    assume(not any(r.is_zero for r in rows) and exact_rank(rows) == dim)
+    return PolyhedralCone(dim, tuple(rows))

@@ -148,6 +148,25 @@ class TestExitCodes:
     def test_pseudo_without_embedding_is_3(self, slack_file):
         assert run("classify", slack_file, "--pseudo").exit_code == 3
 
+    def test_mixed_dimension_embedding_is_2(self, tmp_path):
+        distance = {("a", "b"): ["1"], ("a", "c"): ["1"], ("b", "a"): ["1"],
+                    ("b", "c"): ["1"], ("c", "a"): ["1"], ("c", "b"): ["1"]}
+        doc = {
+            "space": {"dimension": 1, "rows": [["1"]]},
+            "points": ["a", "b", "c"],
+            "metric": {
+                "kind": "table",
+                "entries": [[r, s, distance.get((r, s), ["0"])] for r in "abc" for s in "abc"],
+            },
+            "queries": [{"q": "a", "candidates": ["b", "c"]}],
+            "embedding": {"a": ["0"], "b": ["0", "1"], "c": ["1"]},
+        }
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
+        result = run("classify", path)
+        assert result.exit_code == 2
+        assert "embedding['b']" in result.stderr
+
     def test_axiom_failure_is_4(self, broken_metric_file):
         result = run("verify", broken_metric_file)
         assert result.exit_code == 4

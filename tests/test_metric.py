@@ -137,24 +137,26 @@ class TestVerifyAxioms:
         assert lhs == ce["d(r,t)"] and rhs == ce["d(r,s)+d(s,t)"]
         assert not inst.space.leq(lhs, rhs)
 
-    def test_parallel_matches_serial(self):
-        # large enough that the triple space actually gets partitioned
-        inst = build_example4(rational_grid(-4, 4, "1/2"), "1/3")
-        assert len(inst.points) == 17
-        serial = verify_axioms(inst, jobs=1)
-        parallel = verify_axioms(inst, jobs=3)
-        assert serial == parallel
-
-    def test_parallel_failure_counterexample_deterministic(self):
+    def test_failure_counterexample_is_first_in_ground_set_order(self):
         base = build_example3(rational_grid(-4, 4, "1/2"))
         table = {(r, s): v for r, s, v in base.entries()}
         table[("-1/2", "3/2")] = Vec.of(4, 4)
         table[("7/2", "-3")] = Vec.of(9, 9)
         broken = QcmInstance(base.space, base.points, table)
-        serial = verify_axioms(broken, jobs=1)
-        parallel = verify_axioms(broken, jobs=4)
-        assert not serial["QCM3"].passed
-        assert serial == parallel
+        report = verify_axioms(broken)
+        labels = broken.points
+        first = next(
+            (r, s, t)
+            for r in labels
+            for s in labels
+            for t in labels
+            if not broken.space.leq(
+                broken.distance(r, t), broken.distance(r, s) + broken.distance(s, t)
+            )
+        )
+        assert not report["QCM3"].passed
+        assert report["QCM3"].counterexample["triple"] == first
+        assert report == verify_axioms(broken)
 
 
 class TestTranspose:

@@ -1,6 +1,7 @@
 """The two minimal-front routes agree with each other and with a direct
 definition-based oracle, on every cone and size we throw at them."""
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from quasicone import (
     minimal_front_dnc,
     minimal_front_naive,
 )
+
+from helpers import pointed_cones, vectors
 
 ORTHANT2 = OrderedSpace.orthant(2)
 ORTHANT3 = OrderedSpace.orthant(3)
@@ -97,9 +100,10 @@ class TestSmallCases:
 
 
 class TestFallbacks:
-    def test_non_orthant_falls_back_with_warning(self):
+    def test_non_orthant_needs_no_fallback(self):
         values = [("a", Vec.of(1, 0)), ("b", Vec.of(0, 1)), ("c", Vec.of(2, 2))]
-        with pytest.warns(MinimalFrontFallback):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MinimalFrontFallback)
             front = minimal_front_dnc(values, SKEW)
         assert front == minimal_front_naive(values, SKEW) == oracle_front(values, SKEW)
 
@@ -165,3 +169,15 @@ class TestEquivalence:
     def test_property_three_dims(self, raw):
         values = [(f"v{i}", Vec.of(a, b, c)) for i, (a, b, c) in enumerate(raw)]
         assert minimal_front_dnc(values, ORTHANT3) == minimal_front_naive(values, ORTHANT3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pointed_cones(max_rows=3), st.data())
+    def test_property_any_cone_up_to_three_rows(self, cone, data):
+        space = OrderedSpace(cone.dimension, cone)
+        vecs = data.draw(st.lists(vectors(cone.dimension), max_size=30))
+        vecs += vecs[: len(vecs) // 4]  # exact duplicates
+        values = [(f"v{i}", v) for i, v in enumerate(vecs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MinimalFrontFallback)
+            fast = minimal_front_dnc(values, space)
+        assert fast == minimal_front_naive(values, space) == oracle_front(values, space)
