@@ -2,11 +2,12 @@
 against declarative instance files.
 
 Reports go to stdout (or ``--out``) and are byte-identical for identical
-inputs (and, for ``verify``, the same ``--seed``); wall-clock timing goes
-to stderr so it never perturbs a report. Exit codes: 0 success, 2 file
-parse error, 3 semantic error (unknown labels, missing embedding, bad
-selectors), 4 axiom failure, 5 verdict failure (a witness check or
-classification that does not hold).
+inputs; every check is exact, so ``verify --seed`` is accepted but has no
+effect. Wall-clock timing goes to stderr so it never perturbs a report.
+Exit codes: 0 success, 2 file parse error, 3 semantic error (unknown
+labels, missing embedding, bad selectors, oversized grids), 4 axiom
+failure, 5 verdict failure (a witness check or classification that does
+not hold).
 """
 from __future__ import annotations
 
@@ -21,13 +22,7 @@ import click
 from .approximation import FORWARD, BACKWARD, Query, best_approximation_set
 from .chebyshev import QueryFamily, classify as classify_family
 from .cones import as_rational, check_cone_axioms, format_rational
-from .errors import (
-    DuplicateLabel,
-    EmbeddingRequired,
-    InstanceFileError,
-    NotARational,
-    UnknownLabel,
-)
+from .errors import InstanceFileError, NotARational, UnknownLabel
 from .files import (
     LoadedInstance,
     approximation_json,
@@ -53,20 +48,17 @@ EXIT_SEMANTIC = 3
 EXIT_AXIOM = 4
 EXIT_VERDICT = 5
 
-_SEMANTIC_ERRORS = (UnknownLabel, EmbeddingRequired, DuplicateLabel, NotARational, ValueError)
+_SEMANTIC_ERRORS = (UnknownLabel, NotARational, ValueError)
+
+# `example --grid` refuses grids with more points than this before building
+# anything: an instance holds one table entry per ordered pair of points.
+MAX_GRID_POINTS = 1000
 
 
 class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _load(path: str) -> LoadedInstance:
-    try:
-        return load_instance_file(path)
-    except InstanceFileError as exc:
-        raise _Failure(EXIT_PARSE, str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -168,20 +160,19 @@ def _pretty_axioms(doc: dict) -> str:
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for the C1 nonzero-member search; echoed in the report.")
+              help="Accepted for compatibility; has no effect, as every check is exact.")
 @_report_options
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
 
     def body():
-        loaded = _load(path)
+        loaded = load_instance_file(path)
         instance = loaded.instance
-        cone_report = check_cone_axioms(instance.space.cone, seed=seed)
+        cone_report = check_cone_axioms(instance.space.cone)
         metric_report = verify_axioms(instance)
         doc = {
             "command": "verify",
             "file": path,
-            "seed": seed,
             "points": len(instance.points),
             "cone_axioms": axiom_report_json(cone_report),
             "metric_axioms": axiom_report_json(metric_report),
@@ -227,7 +218,7 @@ def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
 
     def body():
-        loaded = _load(path)
+        loaded = load_instance_file(path)
         queries = _select_queries(loaded, selector, direction)
         results = [
             approximation_json(q, best_approximation_set(loaded.instance, q))
@@ -284,7 +275,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     """
 
     def body():
-        loaded = _load(path)
+        loaded = load_instance_file(path)
         query = _select_queries(loaded, selector, direction)[0]
         candidates = sorted(query.candidates)
         if mode == "emit":
@@ -303,10 +294,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
 
         if not witness_path:
             raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
-        try:
-            table = load_witness_file(witness_path)
-        except InstanceFileError as exc:
-            raise _Failure(EXIT_PARSE, str(exc)) from None
+        table = load_witness_file(witness_path)
         if members:
             verdict = verify_witness_for_set(
                 loaded.instance, table, candidates, members
@@ -381,7 +369,7 @@ def classify_cmd(path, direction, pseudo, out, pretty):
     """
 
     def body():
-        loaded = _load(path)
+        loaded = load_instance_file(path)
         if loaded.queries:
             candidate_sets = {q.candidates for q in loaded.queries}
             if len(candidate_sets) != 1:
@@ -438,12 +426,13 @@ def _parse_grid(spec: str) -> list[Fraction]:
         raise _Failure(EXIT_SEMANTIC, "grid step must be positive")
     if stop < start:
         raise _Failure(EXIT_SEMANTIC, "grid stop must not precede start")
-    values = []
-    value = start
-    while value <= stop:
-        values.append(value)
-        value += step
-    return values
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise _Failure(
+            EXIT_SEMANTIC,
+            f"grid {spec!r} has {count} points; at most {MAX_GRID_POINTS} are allowed",
+        )
+    return [start + k * step for k in range(count)]
 
 
 @main.command()

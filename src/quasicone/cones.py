@@ -4,11 +4,11 @@ Vectors carry ``fractions.Fraction`` coordinates, cones are finite
 intersections of closed halfspaces ``{x : a . x >= 0}``, and the induced
 order predicates compare without any tolerance: repeated evaluation is
 bit-identical, and antisymmetry of the order is a theorem (for pointed
-cones), not a numerical accident.
+cones), not a numerical accident. Whether a cone is solid and whether it
+is {0} are decided exactly too, by a phase-1 simplex over ``Fraction``.
 """
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,7 +134,7 @@ def _as_vec(value, dimension: int | None = None) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (Gauss-Jordan over Fraction)
+# Exact linear algebra (Gauss-Jordan and phase-1 simplex over Fraction)
 # ---------------------------------------------------------------------------
 
 def _reduced_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -188,6 +188,44 @@ def kernel_vector(vectors: Sequence[Vec], dimension: int) -> Vec | None:
     return Vec(tuple(x))
 
 
+def _nonnegative_solution(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Some z >= 0 with matrix . z = rhs, or None if there is none.
+
+    Phase 1 of the simplex method: one artificial variable per equation,
+    and their sum is pivoted down to its minimum, which is 0 exactly when
+    a solution exists. Bland's rule (the lowest improving column enters;
+    among tied ratios the lowest basic variable leaves) rules out cycling.
+    """
+    m, n = len(matrix), len(matrix[0])
+    tableau = [
+        [*(c if b >= 0 else -c for c in row), *(Fraction(int(i == k)) for k in range(m)), abs(b)]
+        for i, (row, b) in enumerate(zip(matrix, rhs))
+    ]
+    basis = list(range(n, n + m))
+    # reduced costs of the artificials' sum; the last entry is minus that sum
+    cost = [-sum(column) for column in zip(*tableau)]
+    cost[n : n + m] = [Fraction(0)] * m
+    while (enter := next((j for j in range(n + m) if cost[j] < 0), None)) is not None:
+        # the sum is bounded below by 0, so the column has a positive entry
+        _, _, leave = min(
+            (row[-1] / row[enter], basis[i], i) for i, row in enumerate(tableau) if row[enter] > 0
+        )
+        pivot = tableau[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in (*tableau[:leave], *tableau[leave + 1 :], cost):
+            if factor := row[enter]:
+                row[:] = [a - factor * p for a, p in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1]:
+        return None
+    z = [Fraction(0)] * (n + m)
+    for row, j in zip(tableau, basis):
+        z[j] = row[-1]
+    return z[:n]
+
+
 # ---------------------------------------------------------------------------
 # Polyhedral cones
 # ---------------------------------------------------------------------------
@@ -202,10 +240,10 @@ class PolyhedralCone:
     it is decided exactly via the rank of the row matrix.
 
     ``interior_point``, when supplied, must satisfy every constraint
-    strictly; it certifies that the cone is solid. When omitted, a small
-    deterministic search tries to find such a point (the row sum plus
-    perturbations), which succeeds for every orthant-like cone. Cones the
-    search cannot certify simply have no strict order ``ll`` available.
+    strictly and is kept as given. When omitted, an exact feasibility
+    solve finds one exactly when the cone is solid (some x has every
+    row . x > 0); a cone left with ``interior_point`` None has an empty
+    interior, so the strict order ``ll`` is undefined on it.
     """
 
     dimension: int
@@ -229,7 +267,9 @@ class PolyhedralCone:
                     f"supplied interior point {witness} is not strictly feasible"
                 )
         else:
-            witness = _search_interior_point(rows, self.dimension)
+            # A x - s = 1 with s >= 0 is solvable iff some x has A x > 0
+            # (scale it until A x >= 1): None proves the interior empty
+            witness = _slack_solution(rows, Fraction(1))
         object.__setattr__(self, "interior_point", witness)
 
     @classmethod
@@ -249,11 +289,11 @@ class PolyhedralCone:
         return self.interior_point is not None
 
     def interior_contains(self, x: Vec) -> bool:
-        """Strict membership x in int(cone); refuses on uncertified cones."""
+        """Strict membership x in int(cone); refuses on cones that are not solid."""
         if not self.is_solid:
             raise ConeNotSolid(
-                "cone has no certified interior point; supply interior_point "
-                "to enable strict comparisons"
+                "cone has an empty interior: no x satisfies every row strictly, "
+                "so strict comparisons are undefined"
             )
         x = _as_vec(x, self.dimension)
         return all(row.dot(x) > 0 for row in self.rows)
@@ -282,41 +322,23 @@ class PolyhedralCone:
         return all(covered)
 
 
-def _search_interior_point(rows: tuple[Vec, ...], dimension: int) -> Vec | None:
-    candidates = []
-    total = Vec.zero(dimension)
-    for r in rows:
-        total = total + r
-    candidates.append(total)
-    candidates.extend(rows)
-    for r in rows:
-        for t in (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-            candidates.append(total + t * r)
-    for x in candidates:
-        if all(row.dot(x) > 0 for row in rows):
-            return x
-    # greedy repair: push along the violated rows, stepping short enough to
-    # keep the already-strict constraints strict
-    x = total
-    for _ in range(16):
-        violated = [r for r in rows if r.dot(x) <= 0]
-        if not violated:
-            return x
-        step = Vec.zero(dimension)
-        for r in violated:
-            step = step + r
-        if step.is_zero:
-            return None
-        bounds = [
-            r.dot(x) / (-2 * r.dot(step))
-            for r in rows
-            if r.dot(x) > 0 and r.dot(step) < 0
-        ]
-        t = min(bounds) if bounds else Fraction(1)
-        if t <= 0:
-            return None
-        x = x + t * step
-    return None
+def _slack_solution(
+    rows: Sequence[Vec], rhs: Fraction, slack_sum: Fraction | None = None
+) -> Vec | None:
+    """Some x with A x - s = (rhs, ..., rhs) for a slack s >= 0, and with
+    1 . s = slack_sum when that is given; None if there is none. The
+    simplex sees x as x+ - x- with both parts nonnegative."""
+    m, d = len(rows), len(rows[0])
+    matrix = [
+        [*a, *(-c for c in a), *(Fraction(-int(i == k)) for k in range(m))]
+        for i, a in enumerate(rows)
+    ]
+    rhs_column = [rhs] * m
+    if slack_sum is not None:
+        matrix.append([Fraction(0)] * (2 * d) + [Fraction(1)] * m)
+        rhs_column.append(slack_sum)
+    z = _nonnegative_solution(matrix, rhs_column)
+    return None if z is None else Vec(tuple(p - n for p, n in zip(z[:d], z[d : 2 * d])))
 
 
 # ---------------------------------------------------------------------------
@@ -402,71 +424,41 @@ def project(cone: PolyhedralCone, vecs: Sequence[Vec]) -> list[tuple[int, ...]]:
 # Cone axiom checking
 # ---------------------------------------------------------------------------
 
-def _sample_members(
-    cone: PolyhedralCone, rng: random.Random, want: int = 24, budget: int = 600
-) -> list[Vec]:
-    members = [Vec.zero(cone.dimension)]
+def _nonzero_member(cone: PolyhedralCone) -> Vec | None:
+    """A nonzero member of the cone, or None when the cone is {0}."""
     if cone.interior_point is not None:
-        members.append(cone.interior_point)
-    for _ in range(budget):
-        if len(members) >= want:
-            break
-        v = Vec(
-            tuple(
-                Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-                for _ in range(cone.dimension)
-            )
-        )
-        if cone.contains(v):
-            members.append(v)
-    # pad with nonnegative combinations of what we already have; each one is
-    # re-checked exactly before being admitted
-    attempts = 0
-    while len(members) < want and attempts < budget:
-        attempts += 1
-        a = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-        b = Fraction(rng.randint(0, 6), rng.randint(1, 3))
-        v = a * rng.choice(members) + b * rng.choice(members)
-        if cone.contains(v):
-            members.append(v)
-    return members
+        return cone.interior_point
+    line = cone.lineality_witness()
+    if line is not None:
+        return line
+    # no line, so A is injective: every nonzero member has s = A x >= 0 with
+    # a positive coordinate sum, and scaling makes that sum 1
+    return _slack_solution(cone.rows, Fraction(0), slack_sum=Fraction(1))
 
 
-def check_cone_axioms(cone: PolyhedralCone, *, seed: int = 0) -> AxiomReport:
-    """Check the three cone axioms on a halfspace cone.
+def check_cone_axioms(cone: PolyhedralCone) -> AxiomReport:
+    """Check the three cone axioms on a halfspace cone, each exactly.
 
-    Nontriviality is checked by exhibiting a nonzero member, searched for
-    pseudo-randomly from ``seed`` when the cone has no interior point;
-    closure under nonnegative combinations holds by construction for an
-    intersection of halfspaces and is reported without a check;
-    pointedness is decided exactly via the rank of the row matrix.
+    Nontriviality (C1) is decided by exhibiting a nonzero member: the
+    interior point, else a line of the cone, else an exact feasibility
+    solve for A x >= 0 with 1 . A x = 1; when all three fail the cone is
+    {0}. Closure under nonnegative combinations holds by construction for
+    an intersection of halfspaces and is reported without a check;
+    pointedness is decided via the rank of the row matrix.
     """
-    checks = []
-
     # C1: a nonzero member (closedness holds by construction, not tested)
-    nonzero = cone.interior_point
-    if nonzero is None:
-        members = _sample_members(cone, random.Random(seed))
-        nonzero = next((m for m in members if not m.is_zero), None)
-    if nonzero is not None:
-        checks.append(
-            AxiomCheck(
-                axiom="C1",
-                passed=True,
-                checks=1,
-                note=f"nonzero member {nonzero} exhibited; closed by construction",
-            )
+    nonzero = _nonzero_member(cone)
+    trivial = nonzero is None
+    checks = [
+        AxiomCheck(
+            axiom="C1",
+            passed=not trivial,
+            checks=1,
+            counterexample={"reason": "no x != 0 satisfies every row"} if trivial else None,
+            note="cone is trivial ({0})" if trivial
+            else f"nonzero member {nonzero} exhibited; closed by construction",
         )
-    else:
-        checks.append(
-            AxiomCheck(
-                axiom="C1",
-                passed=False,
-                checks=1,
-                counterexample={"reason": "no nonzero member found within sampling budget"},
-                note="cone may be trivial ({0})",
-            )
-        )
+    ]
 
     checks.append(
         AxiomCheck(

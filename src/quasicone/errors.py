@@ -14,8 +14,8 @@ class NotARational(QuasiConeError, TypeError):
 
 
 class ConeNotSolid(QuasiConeError, ValueError):
-    """Interior membership was requested on a cone with no certified
-    interior point."""
+    """Interior membership was requested on a cone whose interior is
+    empty."""
 
 
 class ConeNotPointed(QuasiConeError, ValueError):

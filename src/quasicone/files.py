@@ -147,6 +147,7 @@ def parse_instance(doc: dict) -> LoadedInstance:
         entries_doc = _require(metric, "entries", "metric")
         if not isinstance(entries_doc, list):
             raise _fail("metric.entries", "expected an array of [from, to, vector] triples")
+        known = set(labels)
         table = {}
         for i, entry in enumerate(entries_doc):
             spot = f"metric.entries[{i}]"
@@ -155,6 +156,11 @@ def parse_instance(doc: dict) -> LoadedInstance:
             src, dst, value = entry
             if not (isinstance(src, str) and isinstance(dst, str)):
                 raise _fail(spot, "from/to must be label strings")
+            for label in (src, dst):
+                if label not in known:
+                    raise _fail(spot, f"label {label!r} is not in 'points'")
+            if (src, dst) in table:
+                raise _fail(spot, f"repeats the entry for ({src!r}, {dst!r})")
             table[(src, dst)] = _vec(value, f"{spot}[2]", space.dimension)
         try:
             instance = QcmInstance(space, labels, table)
@@ -193,22 +199,26 @@ def parse_instance(doc: dict) -> LoadedInstance:
     return LoadedInstance(instance, queries, embedding)
 
 
-def load_instance_file(path: str | Path) -> LoadedInstance:
+def _load(path: str | Path, parse):
+    """Read and decode a JSON file, then parse it; every failure is an
+    ``InstanceFileError`` that starts with the path."""
     path = Path(path)
     try:
-        text = path.read_text()
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise InstanceFileError(f"{path}: {exc}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     try:
-        return parse_instance(doc)
+        return parse(doc)
     except InstanceFileError as exc:
         raise InstanceFileError(f"{path}: {exc}") from None
+
+
+def load_instance_file(path: str | Path) -> LoadedInstance:
+    return _load(path, parse_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +304,7 @@ def parse_witness(doc: dict) -> WitnessTable:
 
 
 def load_witness_file(path: str | Path) -> WitnessTable:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise InstanceFileError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InstanceFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    try:
-        return parse_witness(doc)
-    except InstanceFileError as exc:
-        raise InstanceFileError(f"{path}: {exc}") from None
+    return _load(path, parse_witness)
 
 
 # ---------------------------------------------------------------------------

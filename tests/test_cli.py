@@ -1,9 +1,14 @@
 """Command-line behavior: pipelines, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quasicone
 from quasicone.cli import main
 
 runner = CliRunner()
@@ -40,6 +45,36 @@ def broken_metric_file(tmp_path):
         "queries": [{"q": "a"}],
     }
     path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture
+def ray_cone_file(tmp_path):
+    """Two points over a pointed cone with an empty interior: the ray t (1, 2, 3)."""
+    rows = [["2", "-1", "0"], ["-2", "1", "0"], ["3", "0", "-1"], ["-3", "0", "1"], ["1", "0", "0"]]
+    ray, zero = ["1", "2", "3"], ["0", "0", "0"]
+    doc = {
+        "space": {"dimension": 3, "rows": rows},
+        "points": ["a", "b"],
+        "metric": {
+            "kind": "table",
+            "entries": [[r, s, zero if r == s else ray] for r in "ab" for s in "ab"],
+        },
+        "queries": [{"q": "a"}],
+    }
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def table_file(tmp_path, entries):
+    doc = {
+        "space": {"dimension": 1, "rows": [["1"]]},
+        "points": ["a", "b"],
+        "metric": {"kind": "table", "entries": entries},
+    }
+    path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -185,6 +220,42 @@ class TestExitCodes:
     def test_bad_grid_spec_is_3(self):
         assert run("example", "example4", "--grid", "0..2").exit_code == 3
         assert run("example", "example4", "--grid", "0:2:0").exit_code == 3
+
+    def test_oversized_grid_is_3_before_any_work(self):
+        # a subprocess, so that a missing cap fails on the timeout instead
+        # of building ten million points
+        src = Path(quasicone.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "quasicone.cli", "example", "example4",
+             "--grid", "0:100000:1/100"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 3
+        assert "10000001 points" in result.stderr
+
+    def test_repeated_table_entry_is_2(self, tmp_path):
+        entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]
+        path = table_file(tmp_path, [*entries, ["a", "b", ["2"]]])
+        result = run("verify", path)
+        assert result.exit_code == 2
+        assert "metric.entries[4]" in result.stderr
+
+    def test_unknown_label_table_entry_is_2(self, tmp_path):
+        entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]
+        path = table_file(tmp_path, [*entries, ["a", "ghost", ["1"]]])
+        result = run("verify", path)
+        assert result.exit_code == 2
+        assert "metric.entries[4]" in result.stderr
+
+    def test_ray_cone_verifies_without_a_seed(self, ray_cone_file):
+        result = run("verify", ray_cone_file)
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert "seed" not in doc
+        assert doc["cone_axioms"]["checks"][0]["passed"]
+        for seed in (0, 1, 7):
+            assert run("verify", "--seed", seed, ray_cone_file).stdout == result.stdout
 
 
 class TestDeterminism:

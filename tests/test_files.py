@@ -6,6 +6,8 @@ import pytest
 from quasicone import (
     FORWARD,
     InstanceFileError,
+    OrderedSpace,
+    PolyhedralCone,
     Vec,
     build_example4,
     canonical_witness,
@@ -16,6 +18,8 @@ from quasicone import (
     parse_witness,
     witness_json,
 )
+from quasicone.files import parse_space, space_json
+
 from helpers import rational_grid, seeded_instances
 
 TABLE_DOC = {
@@ -74,6 +78,10 @@ class TestParseInstance:
             (lambda d: d["metric"]["entries"][1].__setitem__(2, ["1"]), "expected 2 coordinates"),
             (lambda d: d["metric"].__setitem__("kind", "mystery"), "unknown kind"),
             (lambda d: d["queries"][0].pop("q"), "missing required field"),
+            (lambda d: d["metric"]["entries"].append(["b", "a", ["1", "1"]]),
+             r"entries\[4\]: repeats the entry for \('b', 'a'\)"),
+            (lambda d: d["metric"]["entries"].append(["a", "ghost", ["1", "1"]]),
+             r"entries\[4\]: label 'ghost' is not in 'points'"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):
@@ -115,6 +123,18 @@ class TestParseInstance:
         }
         with pytest.raises(InstanceFileError, match="alpha"):
             parse_instance(doc)
+
+
+class TestParseSpace:
+    def test_supplied_interior_point_survives_round_trip(self):
+        # the search finds an interior point of its own, so dropping the
+        # supplied one from the document keeps the cone solid
+        rows = (Vec.of(4, -4, -1), Vec.of(-4, 2, 2), Vec.of(2, 5, 1))
+        space = OrderedSpace(3, PolyhedralCone(3, rows, Vec.of(1, -1, 4)))
+        reparsed = parse_space(json.loads(json.dumps(space_json(space))))
+        assert reparsed == space
+        assert reparsed.cone.is_solid
+        assert reparsed.ll(Vec.zero(3), Vec.of(1, -1, 4))
 
 
 class TestLoadFiles:
