@@ -9,14 +9,15 @@ nothing strictly precedes) is reported as the honest diagnostic.
 Every order question here is decided on integer projections of the
 distances through the cone rows (``project``), where the cone order is
 the componentwise order. Two minimal-front routines are provided: a
-definitional all-pairs scan, and a divide-and-conquer routine for cones
-with at most three rows that sorts on the first projected coordinate
-and merges with staircase queries (Kung, Luccio & Preparata, 1975).
+definitional all-pairs scan, and, for cones with at most three rows, one
+plane sweep that sorts the projected points lexicographically and keeps
+a single staircase of the minimal points seen so far (Kung, Luccio &
+Preparata, 1975).
 """
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,7 +31,7 @@ DIRECTIONS = (FORWARD, BACKWARD)
 
 
 class MinimalFrontFallback(UserWarning):
-    """The divide-and-conquer front fell back to the pairwise scan."""
+    """The staircase-sweep front fell back to the pairwise scan."""
 
 
 @dataclass(frozen=True)
@@ -208,14 +209,14 @@ def minimal_front_naive(
 def minimal_front_dnc(
     values: Iterable[tuple[Label, Vec]], space: OrderedSpace
 ) -> frozenset[Label]:
-    """Minimal elements by divide and conquer on a sorted first coordinate.
+    """Minimal elements by one lexicographic staircase sweep.
 
     Works on the projected distances, so it serves every cone with at most
-    three rows. Points are grouped by first projected coordinate; halves
-    are solved recursively and the right half is filtered against the left
-    using a weak-dominance staircase over the remaining coordinates.
-    O(n log n) for two rows, O(n log^2 n) for three. Cones with more rows
-    fall back to the pairwise scan with a warning.
+    three rows; see ``_sweep_front``. The sweep makes O(n log n)
+    comparisons, but each staircase insertion is a list splice that can
+    move O(n) stairs, so an input whose every point is minimal and lands
+    at the head of the staircase costs O(n^2) element moves. Cones with
+    more rows fall back to the pairwise scan with a warning.
     """
     labels, vecs = _check_values(values, space)
     if not labels:
@@ -223,95 +224,46 @@ def minimal_front_dnc(
     rows = len(space.cone.rows)
     if rows > 3:
         warnings.warn(
-            f"no divide-and-conquer specialisation for {rows} cone rows; "
+            f"the staircase sweep serves at most 3 cone rows, not {rows}; "
             "falling back to the pairwise scan",
             MinimalFrontFallback,
             stacklevel=2,
         )
         return minimal_front_naive(zip(labels, vecs), space)
     points = project(space.cone, vecs)
-    if rows == 1:
-        least = min(p[0] for p in points)
-        keep = [i for i, p in enumerate(points) if p[0] == least]
-    elif rows == 2:
-        keep = _front_2d(list(enumerate(points)))
-    else:
-        keep = _front_3d(list(enumerate(points)))
-    return frozenset(labels[i] for i in keep)
+    return frozenset(labels[i] for i in _sweep_front(points))
 
 
-def _group_by_first(entries: list[tuple[int, tuple[int, ...]]]):
-    """Split (index, point) entries into runs of equal first coordinate,
-    ascending. Equal-first-coordinate points never straddle a split, so
-    the divide step can assume strictly smaller first coordinates on the
-    left."""
-    entries = sorted(entries, key=lambda e: e[1][0])
-    groups: list[list[tuple[int, tuple[int, ...]]]] = []
-    current_key = None
-    for idx, point in entries:
-        if point[0] != current_key:
-            groups.append([])
-            current_key = point[0]
-        groups[-1].append((idx, point))
-    return groups
+def _sweep_front(points: list[tuple[int, ...]]) -> list[int]:
+    """Indices of the minimal integer points with at most three coordinates.
 
-
-def _front_2d(entries: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    groups = _group_by_first(entries)
-    second = {i: p[1] for g in groups for i, p in g}
-
-    def solve(lo: int, hi: int) -> tuple[list[int], int]:
-        # survivors of groups[lo:hi] plus the minimum second coordinate seen
-        if hi - lo == 1:
-            members = groups[lo]
-            ymin = min(p[1] for _, p in members)
-            return [i for i, p in members if p[1] == ymin], ymin
-        mid = (lo + hi) // 2
-        left, left_min = solve(lo, mid)
-        right, right_min = solve(mid, hi)
-        kept = [i for i in right if second[i] < left_min]
-        return left + kept, min(left_min, right_min)
-
-    survivors, _ = solve(0, len(groups))
-    return survivors
-
-
-class _Staircase:
-    """Weak-dominance staircase over 2-d integer points.
-
-    Stores the weakly minimal points sorted by ascending first coordinate
-    (second coordinate then strictly descending) and answers "is this
-    point weakly dominated by any stored point" by binary search.
+    Visits the points in lexicographic order, so that only an earlier
+    point can strictly precede a later one, and keeps a staircase of the
+    minimal points seen so far over their last two coordinates (padded
+    with 0): ``ys`` ascending, ``zs`` strictly descending. A point is
+    dropped exactly when some stair lies weakly below it, unless it is an
+    exact copy of the point just kept; a kept point replaces the stairs
+    it weakly dominates.
     """
-
-    def __init__(self, points: Iterable[tuple[int, int]]):
-        self.ys: list[int] = []
-        self.zs: list[int] = []
-        best = None
-        for y, z in sorted(points):
-            if best is None or z < best:
-                self.ys.append(y)
-                self.zs.append(z)
-                best = z
-
-    def dominates(self, point: tuple[int, int]) -> bool:
-        pos = bisect_right(self.ys, point[0]) - 1
-        return pos >= 0 and self.zs[pos] <= point[1]
-
-
-def _front_3d(entries: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    groups = _group_by_first(entries)
-    rest = {i: (p[1], p[2]) for g in groups for i, p in g}
-
-    def solve(lo: int, hi: int) -> list[int]:
-        if hi - lo == 1:
-            # equal first coordinate: strict dominance reduces to the plane
-            return _front_2d([(i, rest[i]) for i, _ in groups[lo]])
-        mid = (lo + hi) // 2
-        left = solve(lo, mid)
-        right = solve(mid, hi)
-        stairs = _Staircase(rest[i] for i in left)
-        kept = [i for i in right if not stairs.dominates(rest[i])]
-        return left + kept
-
-    return solve(0, len(groups))
+    ys: list[int] = []
+    zs: list[int] = []
+    keep: list[int] = []
+    previous = None
+    previous_kept = False
+    for i in sorted(range(len(points)), key=points.__getitem__):
+        point = points[i]
+        if point != previous:
+            previous = point
+            y, z = ((0, 0) + point)[-2:]
+            below = bisect_right(ys, y) - 1
+            previous_kept = below < 0 or zs[below] > z
+            if previous_kept:
+                lo = bisect_left(ys, y)
+                hi = lo
+                while hi < len(zs) and zs[hi] >= z:
+                    hi += 1
+                ys[lo:hi] = [y]
+                zs[lo:hi] = [z]
+        if previous_kept:
+            keep.append(i)
+    return keep

@@ -69,7 +69,7 @@ def parse_space(doc, where: str = "space") -> OrderedSpace:
     if not isinstance(doc, dict):
         raise _fail(where, "expected an object with 'dimension' and 'rows'")
     dimension = _require(doc, "dimension", where)
-    if not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise _fail(f"{where}.dimension", f"expected a positive integer, got {dimension!r}")
     rows_doc = _require(doc, "rows", where)
     if not isinstance(rows_doc, list) or not rows_doc:
@@ -169,12 +169,17 @@ def parse_instance(doc: dict) -> LoadedInstance:
     else:
         raise _fail("metric.kind", f"unknown kind {kind!r}; expected 'table', 'example3', or 'example4'")
 
+    queries_doc = doc.get("queries", [])
+    if not isinstance(queries_doc, list):
+        raise _fail("queries", f"expected an array of query objects, got {type(queries_doc).__name__}")
     queries = []
-    for i, qdoc in enumerate(doc.get("queries", [])):
+    for i, qdoc in enumerate(queries_doc):
         spot = f"queries[{i}]"
         if not isinstance(qdoc, dict):
             raise _fail(spot, "expected an object with 'q'")
         q = _require(qdoc, "q", spot)
+        if not isinstance(q, str):
+            raise _fail(f"{spot}.q", "expected a label string")
         candidates = qdoc.get("candidates")
         if candidates is None:
             candidates = list(instance.points)
@@ -204,9 +209,13 @@ def _load(path: str | Path, parse):
     ``InstanceFileError`` that starts with the path."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InstanceFileError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFileError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise InstanceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -287,6 +296,8 @@ def parse_witness(doc: dict) -> WitnessTable:
     if not isinstance(doc, dict):
         raise InstanceFileError("witness: expected a JSON object")
     q = _require(doc, "q", "witness")
+    if not isinstance(q, str):
+        raise _fail("witness.q", "expected a label string")
     direction = _require(doc, "direction", "witness")
     f_doc = _require(doc, "f", "witness")
     if not isinstance(f_doc, list):

@@ -163,8 +163,11 @@ class TestWitnessCommand:
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run("verify", path).exit_code == 2
+        for content in (b"{not json", b"\xff\xfe\x00"):
+            path.write_bytes(content)
+            result = run("verify", path)
+            assert result.exit_code == 2, content
+            assert f"error: {path}: " in result.output
 
     def test_unknown_query_label_is_3(self, tmp_path):
         doc = {

@@ -1,7 +1,11 @@
 """Instance and witness file schemas: round trips and precise failures."""
+import copy
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicone import (
     FORWARD,
@@ -37,6 +41,54 @@ TABLE_DOC = {
     "queries": [{"q": "a", "candidates": ["b"], "direction": "backward"}],
     "embedding": {"a": ["1", "0"], "b": ["0", "1"]},
 }
+
+EXAMPLE4_DOC = {
+    "space": {"dimension": 2, "rows": [["1", "0"], ["0", "1"]]},
+    "points": [{"label": "0", "coordinate": "0"}, {"label": "1/2", "coordinate": "1/2"}],
+    "metric": {"kind": "example4", "alpha": "1/2"},
+    "queries": [{"q": "0", "candidates": ["1/2"], "direction": "forward"}],
+    "embedding": {"0": ["1"], "1/2": ["0"]},
+}
+
+WITNESS_DOC = {"q": "a", "direction": "forward", "f": [["a", ["0", "0"]], ["b", ["1", "1/2"]]]}
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["0", "1/2", "-3", "a", "b", "forward", "table", "example4"])
+)
+json_values = json_leaves | st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_paths(doc, path=()):
+    """Every node of a JSON document, as the key path that reaches it."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
 
 
 class TestParseInstance:
@@ -82,6 +134,11 @@ class TestParseInstance:
              r"entries\[4\]: repeats the entry for \('b', 'a'\)"),
             (lambda d: d["metric"]["entries"].append(["a", "ghost", ["1", "1"]]),
              r"entries\[4\]: label 'ghost' is not in 'points'"),
+            (lambda d: d.__setitem__("queries", None), "queries: expected an array"),
+            (lambda d: d.__setitem__("queries", 5), "queries: expected an array"),
+            (lambda d: d.__setitem__("queries", {}), "queries: expected an array"),
+            (lambda d: d["space"].__setitem__("dimension", True), "dimension: expected a positive integer"),
+            (lambda d: d["queries"][0].__setitem__("q", []), r"queries\[0\]\.q: expected a label string"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):
@@ -89,6 +146,21 @@ class TestParseInstance:
         mutate(doc)
         with pytest.raises(InstanceFileError, match=fragment):
             parse_instance(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(json_values)
+    def test_one_replaced_node_parses_or_fails_cleanly(self, value):
+        # every node of each document in turn, so no node depends on luck
+        for doc, parse in (
+            (TABLE_DOC, parse_instance),
+            (EXAMPLE4_DOC, parse_instance),
+            (WITNESS_DOC, parse_witness),
+        ):
+            for path in json_paths(doc):
+                try:
+                    parse(replaced(doc, path, value))
+                except InstanceFileError:
+                    pass
 
     def test_float_rejected_with_pointer(self):
         doc = json.loads(json.dumps(TABLE_DOC))
@@ -140,9 +212,11 @@ class TestParseSpace:
 class TestLoadFiles:
     def test_json_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text('{"points": [,]}')
-        with pytest.raises(InstanceFileError, match="line 1"):
-            load_instance_file(path)
+        for content, fragment in ((b'{"points": [,]}', "invalid JSON at line 1"), (b"\xff\xfe\x00", "not UTF-8 text")):
+            path.write_bytes(content)
+            for load in (load_instance_file, load_witness_file):
+                with pytest.raises(InstanceFileError, match=f"^{re.escape(str(path))}: {fragment}"):
+                    load(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InstanceFileError):
@@ -176,6 +250,10 @@ class TestWitnessFiles:
     def test_bad_direction(self):
         with pytest.raises(InstanceFileError, match="direction"):
             parse_witness({"q": "a", "direction": "up", "f": []})
+
+    def test_label_must_be_a_string(self):
+        with pytest.raises(InstanceFileError, match=r"witness\.q: expected a label string"):
+            parse_witness({"q": [], "direction": "forward", "f": []})
 
     def test_bad_pair_shape(self):
         with pytest.raises(InstanceFileError, match=r"f\[0\]"):

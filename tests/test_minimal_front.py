@@ -136,6 +136,19 @@ class TestEquivalence:
             assert naive == fast
             assert naive == oracle_front(values, space)
 
+    @pytest.mark.parametrize(
+        "space,shape",
+        [(ORTHANT2, lambda k, n: (k, n - k)), (ORTHANT3, lambda k, n: (k, n - k, k))],
+        ids=["plane", "q3-head-insertion"],
+    )
+    def test_antichain(self, space, shape):
+        # every point is minimal, so the staircase grows to the full set;
+        # in Q^3 each new stair lands at its head
+        n = 1200
+        values = [(f"v{k}", Vec.of(*shape(k, n))) for k in range(n)]
+        fast = minimal_front_dnc(values, space)
+        assert fast == minimal_front_naive(values, space) == {label for label, _ in values}
+
     def test_thousand_points_q3(self):
         rng = random.Random(31)
         values = random_values(rng, 1000, 3)
