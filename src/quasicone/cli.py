@@ -51,7 +51,8 @@ EXIT_VERDICT = 5
 _SEMANTIC_ERRORS = (UnknownLabel, NotARational, ValueError)
 
 # `example --grid` refuses grids with more points than this before building
-# anything: an instance holds one table entry per ordered pair of points.
+# anything. The cap bounds the size of the file written and the O(n^3)
+# triangle pass that `verify` makes on it.
 MAX_GRID_POINTS = 1000
 
 

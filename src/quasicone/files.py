@@ -307,6 +307,8 @@ def parse_witness(doc: dict) -> WitnessTable:
         spot = f"witness.f[{i}]"
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise _fail(spot, "expected [label, vector]")
+        if entry[0] in table:
+            raise _fail(spot, f"repeats the entry for {entry[0]!r}")
         table[entry[0]] = _vec(entry[1], f"{spot}[1]")
     try:
         return WitnessTable(q, direction, table)

@@ -6,9 +6,11 @@ and d(s, r) are independent entries, which is what makes the forward and
 backward problems genuinely different.
 
 Two closed-form generators are provided (a two-valued direction metric
-over Q^2 and a slack metric with a positive parameter alpha), plus an
-exhaustive axiom checker that decides every ordered pair and triple on
-one integer projection of the table.
+over Q^2 and a slack metric with a positive parameter alpha). Their
+instances store no table: each entry is computed from the closed form
+when it is read, so a query pays only for the entries it reads. An
+exhaustive axiom checker decides every ordered pair and triple on one
+integer projection of the table.
 """
 from __future__ import annotations
 
@@ -31,9 +33,9 @@ ALPHA_METRIC = "example4-alpha-metric"
 class Provenance:
     """How an instance's table came to be.
 
-    Generator provenances carry their parameters so that a table supplied
-    by the caller can be regenerated and compared exactly at construction
-    time.
+    Generator provenances carry their parameters: the instance computes
+    its entries from them, and a table supplied by the caller is compared
+    against them exactly at construction time.
     """
 
     kind: str
@@ -47,17 +49,26 @@ class Provenance:
 _EXPLICIT = Provenance(EXPLICIT_TABLE)
 
 
-class _GeneratedTable(dict):
-    """A table that a closed-form builder has just filled from its own
-    provenance; it equals its generator by construction, so the instance
-    does not regenerate and compare it."""
+def _ground_set(labels: Iterable[Label]) -> tuple[Label, ...]:
+    points = tuple(labels)
+    if not points:
+        raise ValueError("ground set must be nonempty")
+    if len(set(points)) != len(points):
+        seen = set()
+        dup = next(p for p in points if p in seen or seen.add(p))
+        raise DuplicateLabel(f"duplicate point label {dup!r}")
+    return points
 
 
 class QcmInstance:
     """A finite ground set with a total cone-valued distance table.
 
-    Immutable after construction: the table is copied in and only read
-    thereafter, so instances are safe to share.
+    Immutable after construction, so instances are safe to share. An
+    explicit table is copied in and only read thereafter. An instance
+    with a generator provenance keeps only the points' coordinates and
+    computes each entry from the closed form when it is read; a table
+    supplied with such a provenance is checked against the closed form
+    entry by entry and then dropped.
     """
 
     def __init__(
@@ -67,13 +78,7 @@ class QcmInstance:
         table: Mapping[tuple[Label, Label], Vec],
         provenance: Provenance = _EXPLICIT,
     ):
-        points = tuple(points)
-        if not points:
-            raise ValueError("ground set must be nonempty")
-        if len(set(points)) != len(points):
-            seen = set()
-            dup = next(p for p in points if p in seen or seen.add(p))
-            raise DuplicateLabel(f"duplicate point label {dup!r}")
+        points = _ground_set(points)
         tbl: dict[tuple[Label, Label], Vec] = {}
         for r in points:
             for s in points:
@@ -87,25 +92,45 @@ class QcmInstance:
                         f"space has {space.dimension}"
                     )
                 tbl[(r, s)] = value
+        self._init(space, points, provenance, tbl)
+        if self._table is None:
+            self._check_generated(tbl)
+
+    @classmethod
+    def _generated(
+        cls, space: OrderedSpace, points: tuple[Label, ...], provenance: Provenance
+    ) -> "QcmInstance":
+        """An instance whose entries come from its generator provenance
+        alone; the builders use it, so no table is filled or checked."""
+        instance = cls.__new__(cls)
+        instance._init(space, points, provenance)
+        return instance
+
+    def _init(
+        self,
+        space: OrderedSpace,
+        points: tuple[Label, ...],
+        provenance: Provenance,
+        table: dict[tuple[Label, Label], Vec] | None = None,
+    ) -> None:
         self._space = space
         self._points = points
         self._label_set = frozenset(points)
-        self._table = tbl
         self._provenance = provenance
-        if provenance.kind != EXPLICIT_TABLE and not isinstance(table, _GeneratedTable):
-            self._check_generated()
+        if provenance.kind == EXPLICIT_TABLE:
+            self._table, self._coords = table, None
+        else:
+            # once per instance: coordinate_map() builds a new dict per call
+            coords = provenance.coordinate_map()
+            self._table, self._coords = None, {p: coords[p] for p in points}
 
-    def _check_generated(self) -> None:
-        coords = self._provenance.coordinate_map()
+    def _check_generated(self, table: Mapping[tuple[Label, Label], Vec]) -> None:
         for r in self._points:
             for s in self._points:
-                if self._provenance.kind == DIRECTION_METRIC:
-                    expected = direction_distance(coords[r], coords[s])
-                else:
-                    expected = alpha_distance(coords[r], coords[s], self._provenance.alpha)
-                if self._table[(r, s)] != expected:
+                expected = self.distance(r, s)
+                if table[(r, s)] != expected:
                     raise ValueError(
-                        f"table entry d({r!r}, {s!r}) = {self._table[(r, s)]} does not "
+                        f"table entry d({r!r}, {s!r}) = {table[(r, s)]} does not "
                         f"match its generator value {expected}"
                     )
 
@@ -135,18 +160,27 @@ class QcmInstance:
 
     def distance(self, r: Label, s: Label) -> Vec:
         try:
-            return self._table[(r, s)]
+            if self._coords is None:
+                return self._table[(r, s)]
+            a, b = self._coords[r], self._coords[s]
         except KeyError:
             self.require_points((r, s))
             raise
+        if self._provenance.kind == DIRECTION_METRIC:
+            return direction_distance(a, b)
+        return alpha_distance(a, b, self._provenance.alpha)
 
     def entries(self) -> Iterable[tuple[Label, Label, Vec]]:
         for r in self._points:
             for s in self._points:
-                yield r, s, self._table[(r, s)]
+                yield r, s, self.distance(r, s)
 
     def table_equal(self, other: "QcmInstance") -> bool:
-        return self._points == other._points and self._table == other._table
+        """Same points in the same order and the same value at every entry,
+        however either side stores or computes its entries."""
+        return self._points == other._points and all(
+            a == b for (_, _, a), (_, _, b) in zip(self.entries(), other.entries())
+        )
 
     def __repr__(self) -> str:
         return (
@@ -182,11 +216,7 @@ def alpha_distance(r: Fraction, s: Fraction, alpha: Fraction) -> Vec:
 def _coordinate_points(
     points: Sequence[tuple[Label, RationalLike]]
 ) -> tuple[tuple[Label, ...], dict[Label, Fraction]]:
-    labels = tuple(label for label, _ in points)
-    if len(set(labels)) != len(labels):
-        seen = set()
-        dup = next(l for l in labels if l in seen or seen.add(l))
-        raise DuplicateLabel(f"duplicate point label {dup!r}")
+    labels = _ground_set(label for label, _ in points)
     coords = {label: as_rational(c) for label, c in points}
     by_value: dict[Fraction, Label] = {}
     for label, value in coords.items():
@@ -203,14 +233,10 @@ def _coordinate_points(
 def build_example3(points: Sequence[tuple[Label, RationalLike]]) -> QcmInstance:
     """Instance of the direction metric over Q^2 with the orthant cone."""
     labels, coords = _coordinate_points(points)
-    space = OrderedSpace.orthant(2)
-    table = _GeneratedTable(
-        ((r, s), direction_distance(coords[r], coords[s])) for r in labels for s in labels
-    )
     provenance = Provenance(
         DIRECTION_METRIC, coordinates=tuple(sorted(coords.items()))
     )
-    return QcmInstance(space, labels, table, provenance)
+    return QcmInstance._generated(OrderedSpace.orthant(2), labels, provenance)
 
 
 def build_example4(
@@ -221,16 +247,10 @@ def build_example4(
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     labels, coords = _coordinate_points(points)
-    space = OrderedSpace.orthant(2)
-    table = _GeneratedTable(
-        ((r, s), alpha_distance(coords[r], coords[s], alpha))
-        for r in labels
-        for s in labels
-    )
     provenance = Provenance(
         ALPHA_METRIC, alpha=alpha, coordinates=tuple(sorted(coords.items()))
     )
-    return QcmInstance(space, labels, table, provenance)
+    return QcmInstance._generated(OrderedSpace.orthant(2), labels, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestWitnessCommand:
         result = run("witness", slack_file, "--mode", "check", "--witness-path", wpath)
         assert result.exit_code == 5
 
+    def test_repeated_witness_label_is_2(self, slack_file, tmp_path):
+        wpath = tmp_path / "w.json"
+        run("witness", slack_file, "--mode", "emit", "--witness-path", wpath)
+        doc = json.loads(wpath.read_text())
+        doc["f"].append(doc["f"][0])
+        wpath.write_text(json.dumps(doc))
+        result = run("witness", slack_file, "--mode", "check", "--witness-path", wpath)
+        assert result.exit_code == 2
+        assert f"witness.f[{len(doc['f']) - 1}]: repeats the entry for" in result.stderr
+
     def test_check_requires_witness_path(self, slack_file):
         assert run("witness", slack_file, "--mode", "check").exit_code == 3
 

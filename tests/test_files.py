@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
+    BACKWARD,
     FORWARD,
     InstanceFileError,
     OrderedSpace,
     PolyhedralCone,
+    QcmInstance,
+    Query,
     Vec,
+    build_example3,
     build_example4,
     canonical_witness,
     instance_json,
@@ -24,7 +28,7 @@ from quasicone import (
 )
 from quasicone.files import parse_space, space_json
 
-from helpers import rational_grid, seeded_instances
+from helpers import random_table_instance, rational_grid, seeded_instances, small_rationals
 
 TABLE_DOC = {
     "space": {"dimension": 2, "rows": [["1", "0"], ["0", "1"]]},
@@ -78,6 +82,30 @@ def json_paths(doc, path=()):
         return
     for key, child in children:
         yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def instances_with_queries(draw):
+    """An explicit table, or an Example 3 or Example 4 grid with random
+    labels and alpha, plus a few queries over its points."""
+    kind = draw(st.sampled_from(["table", "example3", "example4"]))
+    if kind == "table":
+        instance = random_table_instance(draw(st.randoms(use_true_random=False)))
+    else:
+        coords = draw(st.lists(small_rationals, min_size=1, max_size=8, unique=True))
+        labels = draw(st.lists(st.text(min_size=1, max_size=3), min_size=len(coords),
+                               max_size=len(coords), unique=True))
+        points = list(zip(labels, coords))
+        if kind == "example3":
+            instance = build_example3(points)
+        else:
+            alpha = draw(st.fractions(min_value=0, max_value=4, max_denominator=5).filter(bool))
+            instance = build_example4(points, alpha)
+    labels = st.sampled_from(instance.points)
+    queries = draw(st.lists(st.builds(
+        Query, labels, st.frozensets(labels, min_size=1), st.sampled_from([FORWARD, BACKWARD])
+    ), max_size=3))
+    return instance, queries
 
 
 def replaced(doc, path, value):
@@ -238,6 +266,29 @@ class TestLoadFiles:
             assert loaded.instance.table_equal(instance)
             assert loaded.queries == [query]
 
+    @settings(max_examples=60, deadline=None)
+    @given(instances_with_queries(), st.data())
+    def test_round_trip_property(self, case, data):
+        instance, queries = case
+        loaded = parse_instance(json.loads(json.dumps(instance_json(instance, queries))))
+        # entries read on one side only, so no partial state decides equality
+        pairs = st.tuples(st.sampled_from(instance.points), st.sampled_from(instance.points))
+        side = data.draw(st.sampled_from([instance, loaded.instance]))
+        for r, s in data.draw(st.lists(pairs, max_size=10)):
+            side.distance(r, s)
+        assert loaded.instance.table_equal(instance) and instance.table_equal(loaded.instance)
+        assert loaded.instance.provenance == instance.provenance
+        assert loaded.queries == queries
+
+        table = {(r, s): v for r, s, v in instance.entries()}
+        explicit = QcmInstance(instance.space, instance.points, table)
+        assert explicit.table_equal(loaded.instance)
+        r, s = data.draw(pairs)
+        table[(r, s)] = table[(r, s)] + Vec.of(1, *[0] * (instance.space.dimension - 1))
+        changed = QcmInstance(instance.space, instance.points, table)
+        assert not changed.table_equal(loaded.instance)
+        assert not loaded.instance.table_equal(changed)
+
 
 class TestWitnessFiles:
     def test_round_trip(self, tmp_path):
@@ -254,6 +305,11 @@ class TestWitnessFiles:
     def test_label_must_be_a_string(self):
         with pytest.raises(InstanceFileError, match=r"witness\.q: expected a label string"):
             parse_witness({"q": [], "direction": "forward", "f": []})
+
+    def test_repeated_label_rejected(self):
+        doc = {"q": "a", "direction": "forward", "f": [["a", ["0", "0"]], ["a", ["1", "1"]]]}
+        with pytest.raises(InstanceFileError, match=r"witness\.f\[1\]: repeats the entry for 'a'"):
+            parse_witness(doc)
 
     def test_bad_pair_shape(self):
         with pytest.raises(InstanceFileError, match=r"f\[0\]"):

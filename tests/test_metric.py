@@ -8,12 +8,16 @@ from quasicone import (
     DuplicateLabel,
     OrderedSpace,
     QcmInstance,
+    Query,
     Vec,
+    best_approximation_set,
     build_example3,
     build_example4,
+    canonical_witness,
     transpose,
     verify_axioms,
 )
+from quasicone import metric
 from helpers import rational_grid
 
 
@@ -76,6 +80,37 @@ class TestInstanceConstruction:
         broken[("1", "2")] = Vec.of(1, 1)
         with pytest.raises(ValueError, match="generator"):
             QcmInstance(inst.space, inst.points, broken, inst.provenance)
+
+
+class TestEntriesReadOnDemand:
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Counts closed-form evaluations from here on."""
+        calls = []
+        closed_form = metric.alpha_distance
+
+        def counting(r, s, alpha):
+            calls.append((r, s))
+            return closed_form(r, s, alpha)
+
+        monkeypatch.setattr(metric, "alpha_distance", counting)
+        return calls
+
+    def test_queries_read_only_their_row(self, evaluations):
+        inst = build_example4(rational_grid(0, 100, "1/4"), "2/3")
+        assert inst.size == 401 and len(evaluations) == 0
+        candidates = frozenset(inst.points[1::2])
+        best_approximation_set(inst, Query("50", candidates))
+        assert 0 < len(evaluations) <= len(candidates)
+        evaluations.clear()
+        canonical_witness(inst, "50")
+        assert 0 < len(evaluations) <= inst.size
+
+    def test_verify_matches_explicit_copy(self):
+        inst = build_example4(rational_grid(-5, 5, "1/2"), "3/2")
+        explicit = QcmInstance(inst.space, inst.points, {(r, s): v for r, s, v in inst.entries()})
+        assert explicit.table_equal(inst)
+        assert verify_axioms(inst) == verify_axioms(explicit)
 
 
 def explicit_instance(entries, dim=2):
