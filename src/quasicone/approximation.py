@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .cones import OrderedSpace, Vec, project
@@ -80,6 +81,21 @@ def directed_distance(
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _best_indices(
+    instance: QcmInstance, query: Query
+) -> tuple[list[Label], list[Vec], list[tuple[int, ...]], list[int]]:
+    """The candidates in label order, their distances and projections, and
+    the indices of the best members: those whose projection is the
+    componentwise minimum. One distance per candidate, no pairwise test."""
+    instance.require_points([query.q])
+    instance.require_points(query.candidates)
+    labels = sorted(query.candidates)
+    values = [directed_distance(instance, query.q, h, query.direction) for h in labels]
+    points = project(instance.space.cone, values)
+    floor = tuple(map(min, zip(*points)))
+    return labels, values, points, [i for i, p in enumerate(points) if p == floor]
+
+
 def best_approximation_set(
     instance: QcmInstance, query: Query
 ) -> ApproximationResult:
@@ -90,15 +106,10 @@ def best_approximation_set(
     these are exactly the candidates whose image equals the componentwise
     minimum. When it is nonempty all its members share one distance value
     (antisymmetry of the order over a pointed cone), reported as
-    ``common_distance``.
+    ``common_distance``. The minimal front and the dominance counts add an
+    O(|H|^2) pairwise scan, which callers of ``_best_indices`` skip.
     """
-    instance.require_points([query.q])
-    instance.require_points(query.candidates)
-    labels = sorted(query.candidates)
-    values = [directed_distance(instance, query.q, h, query.direction) for h in labels]
-    points = project(instance.space.cone, values)
-    floor = tuple(map(min, zip(*points)))
-    best_at = [i for i, p in enumerate(points) if p == floor]
+    labels, values, points, best_at = _best_indices(instance, query)
     best = frozenset(labels[i] for i in best_at)
     common = values[best_at[0]] if best_at else None
 
@@ -111,12 +122,11 @@ def best_approximation_set(
 
 def duality_check(instance: QcmInstance, q: Label, candidates: Iterable[Label]) -> bool:
     """Backward best set on the instance equals the forward best set on
-    its transpose; both sides are computed independently."""
-    candidates = frozenset(candidates)
-    backward = best_approximation_set(instance, Query(q, candidates, BACKWARD)).best
-    mirrored = best_approximation_set(
-        transpose(instance), Query(q, candidates, FORWARD)
-    ).best
+    its transpose; both sides are computed independently, without a scan."""
+    query = Query(q, candidates, BACKWARD)
+    backward = _best_indices(instance, query)[3]
+    mirrored = _best_indices(transpose(instance), Query(q, query.candidates, FORWARD))[3]
+    # both sides index the same candidates in label order
     return backward == mirrored
 
 
@@ -127,53 +137,34 @@ def duality_check(instance: QcmInstance, q: Label, candidates: Iterable[Label]) 
 def _pairwise_scan(points: list[tuple[int, ...]]) -> tuple[list[bool], int]:
     """All-pairs O(n^2) scan of integer points in the componentwise order.
 
-    Returns which points something strictly precedes, and how many
-    unordered pairs are comparable. Equal points are comparable and never
-    exclude each other.
+    Returns which points something strictly precedes, in input order, and
+    how many unordered pairs are comparable. Equal points are comparable
+    and never exclude each other.
+
+    In lexicographic order only an earlier point can precede a later one,
+    and copies are adjacent, so each point is tested once against every
+    earlier point that is not a copy of it. Points with at most three
+    coordinates, padded with leading zeros to three, need only their last
+    two compared. The sorted order is also where an O(n log n) count of
+    the comparable pairs would start.
     """
     n = len(points)
+    order = sorted(range(n), key=points.__getitem__)
+    ordered = [points[i] for i in order]
+    tails = [((0, 0) + p)[-2:] for p in ordered] if n and len(points[0]) <= 3 else None
     dominated = [False] * n
     comparable = 0
-    rows = len(points[0]) if points else 0
-    # unrolled comparisons for two and three rows; the scan is the same
-    # all-pairs O(n^2) either way
-    if rows == 2:
-        for i in range(n):
-            ax, ay = points[i]
-            for j in range(i + 1, n):
-                bx, by = points[j]
-                if ax <= bx and ay <= by:
-                    comparable += 1
-                    if ax != bx or ay != by:
-                        dominated[j] = True
-                elif bx <= ax and by <= ay:
-                    comparable += 1
-                    dominated[i] = True
-        return dominated, comparable
-    if rows == 3:
-        for i in range(n):
-            ax, ay, az = points[i]
-            for j in range(i + 1, n):
-                bx, by, bz = points[j]
-                if ax <= bx and ay <= by and az <= bz:
-                    comparable += 1
-                    if ax != bx or ay != by or az != bz:
-                        dominated[j] = True
-                elif bx <= ax and by <= ay and bz <= az:
-                    comparable += 1
-                    dominated[i] = True
-        return dominated, comparable
-    for i in range(n):
-        a = points[i]
-        for j in range(i + 1, n):
-            b = points[j]
-            if all(x <= y for x, y in zip(a, b)):
-                comparable += 1
-                if a != b:
-                    dominated[j] = True
-            elif all(y <= x for x, y in zip(a, b)):
-                comparable += 1
-                dominated[i] = True
+    copies_from = 0  # where the run of copies of the current point starts
+    for j, b in enumerate(ordered):
+        if b != ordered[copies_from]:
+            copies_from = j
+        if tails:
+            by, bz = tails[j]
+            below = len([1 for ay, az in tails[:copies_from] if ay <= by and az <= bz])
+        else:
+            below = len([1 for a in ordered[:copies_from] if all(map(le, a, b))])
+        comparable += below + j - copies_from
+        dominated[order[j]] = below > 0
     return dominated, comparable
 
 

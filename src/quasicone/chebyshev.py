@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .approximation import DIRECTIONS, FORWARD, Query, best_approximation_set
+from .approximation import DIRECTIONS, FORWARD, Query, _best_indices
 from .cones import Vec, exact_rank
 from .errors import EmbeddingRequired
 from .metric import Label, QcmInstance
@@ -77,7 +77,8 @@ def classify(
     whose best set has two or more members yields a (q, h1, h2)
     counterexample; a query with an empty best set also defeats
     Chebyshev but is reported through the quasi counterexamples, since
-    no member pair exists to exhibit.
+    no member pair exists to exhibit. Each query reads only its best set,
+    without the minimal front's pairwise scan.
 
     The linear-independence census runs when an embedding is supplied
     (or when ``check_pseudo=True``, which demands one); it always holds
@@ -100,10 +101,10 @@ def classify(
     empties = []
     census = []
     for q in family.queries:
-        result = best_approximation_set(
+        labels, _, _, best_at = _best_indices(
             instance, Query(q, family.candidates, family.direction)
         )
-        members = sorted(result.best)
+        members = [labels[i] for i in best_at]
         rank = None
         if check_pseudo:
             rank = exact_rank([embedding[m] for m in members]) if members else 0

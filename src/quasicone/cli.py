@@ -5,9 +5,9 @@ Reports go to stdout (or ``--out``) and are byte-identical for identical
 inputs; every check is exact, so ``verify --seed`` is accepted but has no
 effect. Wall-clock timing goes to stderr so it never perturbs a report.
 Exit codes: 0 success, 2 file parse error, 3 semantic error (unknown
-labels, missing embedding, bad selectors, oversized grids), 4 axiom
-failure, 5 verdict failure (a witness check or classification that does
-not hold).
+labels, missing embedding, bad selectors, oversized grids, an option the
+command or mode does not use), 4 axiom failure, 5 verdict failure (a
+witness check or classification that does not hold).
 """
 from __future__ import annotations
 
@@ -245,6 +245,8 @@ def _pretty_witness(doc: dict) -> str:
         v = doc["verdict"]
         if v["holds"]:
             lines.append("verdict: holds")
+        elif "reason" in v:
+            lines.append(f"verdict: fails: {v['reason']}")
         else:
             ce = v["counterexample"]
             lines.append(
@@ -265,7 +267,7 @@ def _pretty_witness(doc: dict) -> str:
 @click.option("--witness-path", type=click.Path(dir_okay=False), default=None,
               help="Where to write (emit) or read (check) the witness file.")
 @click.option("--members", multiple=True,
-              help="Check the witness for exactly these members (repeatable).")
+              help="Check mode only: check the witness for exactly these members (repeatable).")
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None)
 @_report_options
 def witness(path, mode, selector, witness_path, members, direction, out, pretty):
@@ -276,6 +278,8 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     """
 
     def body():
+        if members and mode == "emit":
+            raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
         loaded = load_instance_file(path)
         query = _select_queries(loaded, selector, direction)[0]
         candidates = sorted(query.candidates)
@@ -440,8 +444,8 @@ def _parse_grid(spec: str) -> list[Fraction]:
 @click.argument("name", type=click.Choice(["example3", "example4"]))
 @click.option("--grid", required=True,
               help="Candidate grid as start:stop:step with rational parts, e.g. 0:2:1/4.")
-@click.option("--alpha", default="1", show_default=True,
-              help="Slack parameter for example4.")
+@click.option("--alpha", default=None,
+              help="Slack parameter; example4 only, default 1.")
 @click.option("--beta", default=None,
               help="Query parameter; the query point is beta^2 for example3 "
                    "and beta itself for example4.")
@@ -452,6 +456,8 @@ def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
 
     def body():
+        if alpha is not None and name != "example4":
+            raise _Failure(EXIT_SEMANTIC, f"--alpha applies to example4 only, not {name}")
         grid_values = _parse_grid(grid)
         points = [(format_rational(v), v) for v in grid_values]
         candidate_labels = [label for label, _ in points]
@@ -469,7 +475,7 @@ def example(name, grid, alpha, beta, direction, out):
         if name == "example3":
             instance = build_example3(points)
         else:
-            instance = build_example4(points, as_rational(alpha))
+            instance = build_example4(points, as_rational("1" if alpha is None else alpha))
         doc = instance_json(instance, queries)
         _emit(json.dumps(doc, indent=2) + "\n", out)
 

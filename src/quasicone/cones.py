@@ -21,15 +21,22 @@ from .reports import AxiomCheck, AxiomReport
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: "\d" would also admit every other Unicode digit
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+# CPython's default limit on int-string conversion; a longer digit run is
+# rejected here, before int() would raise a ValueError of its own
+_MAX_DIGITS = 4300
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce to an exact rational.
 
-    Accepts ``Fraction``, ``int``, and literal strings ``"p"`` / ``"p/q"``.
-    Floats are rejected outright: a binary float is not the number the
-    user wrote down, and the order predicates must stay exact.
+    Accepts ``Fraction``, ``int``, and literal strings ``"p"`` / ``"p/q"``
+    (an optional sign, ASCII digits only, at most 4,300 digits in each
+    part, surrounding whitespace ignored). Floats are rejected outright: a
+    binary float is not the number the user wrote down, and the order
+    predicates must stay exact.
     """
     if isinstance(value, Fraction):
         return value
@@ -42,13 +49,20 @@ def as_rational(value: RationalLike) -> Fraction:
             f"floats are not exact: {value!r}; pass an int, Fraction, or 'p/q' string"
         )
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_LITERAL.match(text):
+        match = _RATIONAL_LITERAL.fullmatch(value.strip())
+        if match is None:
             raise NotARational(f"not a rational literal 'p' or 'p/q': {value!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise NotARational(f"zero denominator: {value!r}") from None
+        numerator, denominator = match.groups()
+        digits = max(len(numerator.lstrip("+-")), len(denominator or ""))
+        if digits > _MAX_DIGITS:
+            raise NotARational(
+                f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
+            )
+        if denominator is None:
+            return Fraction(int(numerator))
+        if not int(denominator):
+            raise NotARational(f"zero denominator: {value!r}")
+        return Fraction(int(numerator), int(denominator))
     raise NotARational(f"cannot interpret {type(value).__name__} as a rational")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from .approximation import ApproximationResult, FORWARD, Query
 from .chebyshev import ChebyshevReport
 from .cones import OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational
-from .errors import InstanceFileError, NotARational
+from .errors import InstanceFileError, NotARational, UnknownLabel
 from .metric import (
     ALPHA_METRIC,
     DIRECTION_METRIC,
@@ -134,11 +134,12 @@ def parse_instance(doc: dict) -> LoadedInstance:
                     f"metric kind {kind!r} fixes the plane with the orthant cone",
                 )
         coords = [(label, coord) for label, coord in points]
+        if kind == "example4":
+            alpha = _rational(_require(metric, "alpha", "metric"), "metric.alpha")
         try:
             if kind == "example3":
                 instance = build_example3(coords)
             else:
-                alpha = _rational(_require(metric, "alpha", "metric"), "metric.alpha")
                 instance = build_example4(coords, alpha)
         except ValueError as exc:
             raise _fail("metric", str(exc)) from None
@@ -185,6 +186,12 @@ def parse_instance(doc: dict) -> LoadedInstance:
             candidates = list(instance.points)
         if not isinstance(candidates, list) or not all(isinstance(c, str) for c in candidates):
             raise _fail(f"{spot}.candidates", "expected an array of label strings")
+        # an unknown label is a semantic error (exit 3), not a parse error
+        for where, label in ((f"{spot}.q", q), *(
+            (f"{spot}.candidates[{k}]", c) for k, c in enumerate(candidates)
+        )):
+            if not instance.has_point(label):
+                raise UnknownLabel(f"{where}: unknown point label {label!r}")
         direction = qdoc.get("direction", FORWARD)
         try:
             queries.append(Query(q, frozenset(candidates), direction))
@@ -206,7 +213,8 @@ def parse_instance(doc: dict) -> LoadedInstance:
 
 def _load(path: str | Path, parse):
     """Read and decode a JSON file, then parse it; every failure is an
-    ``InstanceFileError`` that starts with the path."""
+    ``InstanceFileError`` (or, for a query naming a label that is not a
+    point, an ``UnknownLabel``) that starts with the path."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -222,8 +230,8 @@ def _load(path: str | Path, parse):
         ) from None
     try:
         return parse(doc)
-    except InstanceFileError as exc:
-        raise InstanceFileError(f"{path}: {exc}") from None
+    except (InstanceFileError, UnknownLabel) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_instance_file(path: str | Path) -> LoadedInstance:

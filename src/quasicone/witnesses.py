@@ -27,7 +27,7 @@ from .approximation import (
     DIRECTIONS,
     FORWARD,
     Query,
-    best_approximation_set,
+    _best_indices,
     directed_distance,
 )
 from .cones import Vec, project
@@ -236,8 +236,8 @@ def search_counterexample_witness(
     certifies a set exactly when it certifies each member.
     """
     candidates = frozenset(candidates)
-    best = best_approximation_set(instance, Query(q, candidates, direction)).best
-    if len(best) < 2:
+    best_at = _best_indices(instance, Query(q, candidates, direction))[3]
+    if len(best_at) < 2:
         return None
     if pool is None:
         pool = default_witness_pool(instance, q, direction)

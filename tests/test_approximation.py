@@ -8,6 +8,7 @@ from quasicone import (
     BACKWARD,
     FORWARD,
     OrderedSpace,
+    QueryFamily,
     QcmInstance,
     Query,
     UnknownLabel,
@@ -15,9 +16,12 @@ from quasicone import (
     best_approximation_set,
     build_example3,
     build_example4,
+    classify,
     duality_check,
+    search_counterexample_witness,
     transpose,
 )
+from quasicone import approximation
 from helpers import rational_grid, random_query, random_table_instance, seeded_instances
 
 H_GRID = rational_grid(0, 2, "1/4")
@@ -211,3 +215,32 @@ class TestDuality:
                 transpose(instance), Query(query.q, query.candidates, FORWARD)
             )
             assert bwd == fwd
+
+
+class TestPairwiseScanCalls:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Counts pairwise scans from here on."""
+        calls = []
+        scan = approximation._pairwise_scan
+
+        def counting(points):
+            calls.append(len(points))
+            return scan(points)
+
+        monkeypatch.setattr(approximation, "_pairwise_scan", counting)
+        return calls
+
+    def test_only_the_full_result_scans(self, scans):
+        # below the grid every candidate ties, so the witness search runs
+        instance, query = alpha_instance_with_query(-1)
+        family = QueryFamily(tuple(instance.points), query.candidates)
+        report = classify(instance, family)
+        assert not report.chebyshev_holds
+        assert duality_check(instance, query.q, query.candidates)
+        found = search_counterexample_witness(instance, query.q, query.candidates)
+        assert found is not None and found[1] == query.candidates
+        assert scans == []
+        for direction in (FORWARD, BACKWARD):
+            best_approximation_set(instance, Query(query.q, query.candidates, direction))
+        assert scans == [len(query.candidates)] * 2

@@ -79,6 +79,20 @@ def incomparable_instance():
     return QcmInstance(space, labels, table)
 
 
+class TestQueryFamily:
+    @pytest.mark.parametrize(
+        "queries,candidates,direction,message",
+        [
+            ((), H_LABELS, FORWARD, "at least one query point"),
+            (("0",), (), FORWARD, "candidate set must be nonempty"),
+            (("0",), H_LABELS, "sideways", "direction must be one of"),
+        ],
+    )
+    def test_rejects(self, queries, candidates, direction, message):
+        with pytest.raises(ValueError, match=message):
+            QueryFamily(queries, candidates, direction)
+
+
 class TestEmptyBestSets:
     def test_quasi_fails_on_empty_best(self):
         instance = incomparable_instance()

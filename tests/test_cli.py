@@ -123,6 +123,18 @@ class TestPipeline:
         out = json.loads(result.stdout)
         assert out["results"][0]["best"] == out["results"][0]["candidates"]
 
+    def test_classify_without_queries_uses_every_point(self, tmp_path):
+        path = tmp_path / "grid.json"
+        assert run("example", "example4", "--grid", "0:2:1/2", "--out", path).exit_code == 0
+        result = run("classify", path)
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["queries"] == ["0", "1/2", "1", "3/2", "2"]
+        assert doc["candidates"] == sorted(doc["queries"])
+        assert [entry["cardinality"] for entry in doc["census"]] == [1] * 5
+        backward = json.loads(run("classify", path, "--direction", "backward").stdout)
+        assert backward["direction"] == "backward"
+
 
 class TestWitnessCommand:
     def test_emit_then_check_holds(self, slack_file, tmp_path):
@@ -169,6 +181,12 @@ class TestWitnessCommand:
     def test_check_requires_witness_path(self, slack_file):
         assert run("witness", slack_file, "--mode", "check").exit_code == 3
 
+    def test_members_only_in_check_mode(self, slack_file):
+        result = run("witness", slack_file, "--mode", "emit", "--members", "zzz")
+        assert result.exit_code == 3
+        assert "--members" in result.stderr
+        assert result.stdout == ""
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
@@ -188,6 +206,27 @@ class TestExitCodes:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
         assert run("approx", path).exit_code == 3
+
+    def test_unknown_query_label_named_by_every_command(self, tmp_path):
+        doc = {
+            "points": [{"label": "0", "coordinate": "0"}, {"label": "1", "coordinate": "1"}],
+            "metric": {"kind": "example3"},
+        }
+        path = tmp_path / "inst.json"
+        for query, field in (({"q": "ghost"}, "queries[0].q"),
+                             ({"q": "0", "candidates": ["1", "ghost"]}, "queries[0].candidates[1]")):
+            path.write_text(json.dumps({**doc, "queries": [query]}))
+            for command in ("verify", "approx", "classify"):
+                result = run(command, path)
+                assert result.exit_code == 3, (command, field)
+                assert f"error: {path}: {field}: unknown point label 'ghost'" in result.stderr
+
+    def test_approx_without_queries_is_3(self, tmp_path):
+        path = tmp_path / "grid.json"
+        assert run("example", "example4", "--grid", "0:2:1/2", "--out", path).exit_code == 0
+        result = run("approx", path)
+        assert result.exit_code == 3
+        assert "no queries" in result.stderr
 
     def test_missing_query_selector_is_3(self, slack_file):
         assert run("approx", slack_file, "--query", "7").exit_code == 3
@@ -229,6 +268,31 @@ class TestExitCodes:
         doc = json.loads(result.stdout)
         assert not doc["chebyshev"]["holds"]
         assert doc["chebyshev"]["counterexamples"][0]["q"] == "-1"
+
+    def test_alpha_only_for_example4(self, tmp_path):
+        result = run("example", "example3", "--grid", "0:2:1", "--alpha", "5")
+        assert result.exit_code == 3
+        assert "--alpha" in result.stderr
+        assert result.stdout == ""
+        path = tmp_path / "default.json"
+        assert run("example", "example4", "--grid", "0:2:1", "--out", path).exit_code == 0
+        assert json.loads(path.read_text())["metric"] == {"kind": "example4", "alpha": "1"}
+
+    def test_overlong_literals_are_2(self, tmp_path):
+        entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]
+        entries[1][2] = ["9" * 5000]
+        path = table_file(tmp_path, entries)
+        result = run("verify", path)
+        assert result.exit_code == 2
+        assert "metric.entries[1][2][0]: rational literal has a run of 5000 digits" in result.stderr
+        doc = {
+            "points": [{"label": "0", "coordinate": "0"}, {"label": "1", "coordinate": "1"}],
+            "metric": {"kind": "example4", "alpha": "1/" + "7" * 5000},
+        }
+        path.write_text(json.dumps(doc))
+        result = run("verify", path)
+        assert result.exit_code == 2
+        assert f"error: {path}: metric.alpha: rational literal has a run of 5000 digits" in result.stderr
 
     def test_bad_grid_spec_is_3(self):
         assert run("example", "example4", "--grid", "0..2").exit_code == 3
@@ -300,7 +364,8 @@ class TestPrettyMode:
         result = run("classify", slack_file, "--pretty")
         assert "Chebyshev: holds" in result.stdout
 
-    def test_empty_best_pretty_symbol(self, tmp_path):
+    @staticmethod
+    def empty_best_file(tmp_path):
         doc = {
             "space": {"dimension": 2, "rows": [["1", "0"], ["0", "1"]]},
             "points": ["h1", "h2", "q"],
@@ -325,5 +390,64 @@ class TestPrettyMode:
         }
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(doc))
-        result = run("approx", path, "--pretty")
+        return path
+
+    def test_empty_best_pretty_symbol(self, tmp_path):
+        result = run("approx", self.empty_best_file(tmp_path), "--pretty")
         assert "∅" in result.stdout
+
+    def test_verify_pretty_counterexample(self, broken_metric_file):
+        result = run("verify", broken_metric_file, "--pretty")
+        assert result.exit_code == 4
+        assert "QCM2 FAIL" in result.stdout
+        assert "  counterexample for QCM2: " in result.stdout
+        assert result.stdout.endswith("AXIOM FAILURE\n")
+
+    def test_classify_pretty_failure_and_pseudo(self, tmp_path):
+        path = tmp_path / "tied.json"
+        run("example", "example4", "--grid", "0:1:1/2", "--beta", "-1", "--out", path)
+        doc = json.loads(path.read_text())
+        doc["embedding"] = {p["label"]: [p["coordinate"], "1"] for p in doc["points"]}
+        path.write_text(json.dumps(doc))
+        result = run("classify", path, "--pretty")
+        assert result.exit_code == 5
+        assert result.stdout == (
+            "direction: forward\n"
+            "Chebyshev: FAILS\n"
+            "  q=-1: distinct members 0, 1\n"
+            "quasi-Chebyshev: holds (every best set nonempty)\n"
+            "pseudo-Chebyshev: holds (finite scale); span ranks in census\n"
+            "census (q: cardinality, rank)\n"
+            "  -1: 3, 2\n"
+        )
+
+    def test_classify_empty_best_pretty(self, tmp_path):
+        path = self.empty_best_file(tmp_path)
+        result = run("classify", path, "--pretty")
+        assert result.exit_code == 5
+        assert "quasi-Chebyshev: FAILS\n  q=q: empty best set" in result.stdout
+
+    def test_witness_pretty(self, slack_file, tmp_path):
+        wpath = tmp_path / "w.json"
+        emit = run("witness", slack_file, "--mode", "emit", "--witness-path", wpath, "--pretty")
+        assert emit.exit_code == 0
+        assert emit.stdout == "witness for q=5 (forward)\n"
+        holds = run("witness", slack_file, "--mode", "check", "--witness-path", wpath, "--pretty")
+        assert holds.exit_code == 0
+        assert holds.stdout == "witness for q=5 (forward)\nverdict: holds\ncertified members: {2}\n"
+        fails = run("witness", slack_file, "--mode", "check", "--witness-path", wpath,
+                    "--members", "1", "--pretty")
+        assert fails.exit_code == 5
+        assert "verdict: fails f-shift-not-in-cone at 2 with value (" in fails.stdout
+        assert "certified members: ∅" in fails.stdout
+        doc = json.loads(wpath.read_text())
+        doc["f"] = [[label, ["99", "99"]] for label, _ in doc["f"]]
+        wpath.write_text(json.dumps(doc))
+        none = run("witness", slack_file, "--mode", "check", "--witness-path", wpath, "--pretty")
+        assert none.exit_code == 5
+        assert none.stdout == (
+            "witness for q=5 (forward)\n"
+            "verdict: fails: witness certifies no candidate\n"
+            "certified members: ∅\n"
+        )
+

@@ -71,10 +71,19 @@ class TestRationals:
         assert as_rational(5) == Fraction(5)
         assert as_rational(Fraction(1, 3)) == Fraction(1, 3)
 
-    @pytest.mark.parametrize("bad", ["1.5", "3/4/5", "a", "1e3", ""])
+    @pytest.mark.parametrize(
+        "bad", ["1.5", "3/4/5", "a", "1e3", "", "1_0", "1/-2", "\u0661/\u0662", "\uff13"]
+    )
     def test_bad_literals(self, bad):
         with pytest.raises(NotARational):
             as_rational(bad)
+
+    def test_digit_limit(self):
+        assert as_rational("-" + "9" * 4300) == -(10**4300 - 1)
+        assert as_rational("1/" + "7" * 4300).denominator == int("7" * 4300)
+        for bad in ("9" * 4301, "+" + "9" * 4301, "1/" + "7" * 4301):
+            with pytest.raises(NotARational, match="a run of 4301 digits; at most 4300"):
+                as_rational(bad)
 
     def test_floats_rejected(self):
         with pytest.raises(NotARational):

@@ -15,6 +15,7 @@ from quasicone import (
     PolyhedralCone,
     QcmInstance,
     Query,
+    UnknownLabel,
     Vec,
     build_example3,
     build_example4,
@@ -56,6 +57,11 @@ EXAMPLE4_DOC = {
 
 WITNESS_DOC = {"q": "a", "direction": "forward", "f": [["a", ["0", "0"]], ["b", ["1", "1/2"]]]}
 
+# past CPython's 4,300-digit limit on int-string conversion
+OVERLONG_LITERALS = ["9" * 5000, "1/" + "7" * 5000]
+# Unicode digits that int() would accept: Arabic-Indic 1/2, fullwidth 3
+NON_ASCII_LITERALS = ["\u0661/\u0662", "\uff13"]
+
 json_leaves = (
     st.none()
     | st.booleans()
@@ -63,6 +69,7 @@ json_leaves = (
     | st.floats()
     | st.text(max_size=4)
     | st.sampled_from(["0", "1/2", "-3", "a", "b", "forward", "table", "example4"])
+    | st.sampled_from(OVERLONG_LITERALS + NON_ASCII_LITERALS)
 )
 json_values = json_leaves | st.recursive(
     json_leaves,
@@ -167,6 +174,15 @@ class TestParseInstance:
             (lambda d: d.__setitem__("queries", {}), "queries: expected an array"),
             (lambda d: d["space"].__setitem__("dimension", True), "dimension: expected a positive integer"),
             (lambda d: d["queries"][0].__setitem__("q", []), r"queries\[0\]\.q: expected a label string"),
+            (lambda d: d["metric"]["entries"][1][2].__setitem__(0, OVERLONG_LITERALS[0]),
+             r"^metric\.entries\[1\]\[2\]\[0\]: rational literal has a run of 5000 digits"),
+            (lambda d: d.update(points=EXAMPLE4_DOC["points"],
+                                metric={"kind": "example4", "alpha": OVERLONG_LITERALS[1]}),
+             r"^metric\.alpha: rational literal has a run of 5000 digits"),
+            (lambda d: d["metric"]["entries"][1][2].__setitem__(0, NON_ASCII_LITERALS[0]),
+             r"^metric\.entries\[1\]\[2\]\[0\]: not a rational literal"),
+            (lambda d: d["metric"]["entries"][1][2].__setitem__(1, NON_ASCII_LITERALS[1]),
+             r"^metric\.entries\[1\]\[2\]\[1\]: not a rational literal"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):
@@ -189,6 +205,9 @@ class TestParseInstance:
                     parse(replaced(doc, path, value))
                 except InstanceFileError:
                     pass
+                except UnknownLabel as exc:
+                    # a query naming no point: a semantic error, still field-precise
+                    assert re.match(r"queries\[0\]\.(q|candidates\[\d+\]): unknown point label", str(exc))
 
     def test_float_rejected_with_pointer(self):
         doc = json.loads(json.dumps(TABLE_DOC))
@@ -235,6 +254,32 @@ class TestParseSpace:
         assert reparsed == space
         assert reparsed.cone.is_solid
         assert reparsed.ll(Vec.zero(3), Vec.of(1, -1, 4))
+
+
+    def test_interior_point_read_from_file(self):
+        doc = {"dimension": 2, "rows": [["1", "0"], ["0", "1"]], "interior_point": ["3", "1/2"]}
+        assert parse_space(doc).cone.interior_point == Vec.of(3, "1/2")
+        doc["interior_point"] = ["0", "1"]
+        with pytest.raises(InstanceFileError, match="^space: supplied interior point"):
+            parse_space(doc)
+        doc["interior_point"] = ["1"]
+        with pytest.raises(InstanceFileError, match=r"^space\.interior_point: expected 2 coordinates"):
+            parse_space(doc)
+
+
+class TestUnknownQueryLabels:
+    @pytest.mark.parametrize(
+        "query,field",
+        [({"q": "ghost"}, "queries[0].q"), ({"q": "a", "candidates": ["b", "ghost"]}, "queries[0].candidates[1]")],
+    )
+    def test_field_named(self, tmp_path, query, field):
+        doc = {**TABLE_DOC, "queries": [query]}
+        with pytest.raises(UnknownLabel, match=rf"^{re.escape(field)}: unknown point label 'ghost'$"):
+            parse_instance(doc)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnknownLabel, match=f"^{re.escape(f'{path}: {field}')}: "):
+            load_instance_file(path)
 
 
 class TestLoadFiles:

@@ -144,6 +144,16 @@ class TestVerifyAxioms:
         assert not report["QCM2"].passed
         assert report["QCM2"].counterexample["pair"] == ("a", "b")
 
+    def test_nonzero_diagonal_fails_identity(self):
+        inst = explicit_instance(
+            {("b", "b"): Vec.of(1, 0), ("a", "b"): Vec.of(1, 1), ("b", "a"): Vec.of(1, 1)}
+        )
+        report = verify_axioms(inst)
+        assert not report["QCM2"].passed
+        assert report["QCM2"].counterexample == {
+            "pair": ("b", "b"), "value": Vec.of(1, 0), "expected": Vec.zero(2)
+        }
+
     def test_negative_entry_fails_nonnegativity(self):
         inst = explicit_instance(
             {("a", "b"): Vec.of(-1, 0), ("b", "a"): Vec.of(1, 1)}

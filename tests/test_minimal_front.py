@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
+    DimensionMismatch,
     MinimalFrontFallback,
     OrderedSpace,
     PolyhedralCone,
@@ -16,6 +17,8 @@ from quasicone import (
     minimal_front_dnc,
     minimal_front_naive,
 )
+
+from quasicone.approximation import _pairwise_scan
 
 from helpers import pointed_cones, vectors
 
@@ -97,6 +100,35 @@ class TestSmallCases:
         values = [("a", Vec.of(2)), ("b", Vec.of(1)), ("c", Vec.of(1))]
         assert minimal_front_dnc(values, space) == {"b", "c"}
         assert minimal_front_naive(values, space) == {"b", "c"}
+
+
+    @pytest.mark.parametrize("front", [minimal_front_naive, minimal_front_dnc])
+    def test_wrong_dimension_names_the_label(self, front):
+        values = [("a", Vec.of(1, 0)), ("b", Vec.of(1, 2, 3))]
+        with pytest.raises(DimensionMismatch, match="value for 'b' has dimension 3, space has 2"):
+            front(values, ORTHANT2)
+
+
+def brute_force_scan(points):
+    """Both directions of every pair, straight from the definition."""
+    def leq(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    dominated = [any(leq(a, b) and a != b for a in points) for b in points]
+    comparable = sum(
+        leq(a, b) or leq(b, a) for i, a in enumerate(points) for b in points[i + 1:]
+    )
+    return dominated, comparable
+
+
+class TestPairwiseScan:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.integers(min_value=-3, max_value=3)] * dim), max_size=30)
+    ))
+    def test_matches_brute_force(self, points):
+        points += points[: len(points) // 3]  # exact duplicates, out of order
+        assert _pairwise_scan(points) == brute_force_scan(points)
 
 
 class TestFallbacks:

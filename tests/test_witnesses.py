@@ -7,6 +7,7 @@ import pytest
 from quasicone import (
     ANCHOR_EQUALITY,
     BACKWARD,
+    DimensionMismatch,
     FORWARD,
     GAP_NOT_IN_CONE,
     SHIFT_NOT_IN_CONE,
@@ -126,6 +127,14 @@ class TestElementVerification:
         partial = WitnessTable("0", FORWARD, {"0": Vec.zero(2)})
         with pytest.raises(ValueError, match="does not cover"):
             verify_witness_for_element(instance, partial, {"0", "1"}, "0")
+
+    def test_wrong_dimension_outside_the_candidates(self):
+        # "5" is a point of the instance but not a candidate
+        instance = alpha_instance(5)
+        w = canonical_witness(instance, "5")
+        ragged = WitnessTable("5", FORWARD, {**w.f, "5": Vec.of(0, 0, 0)})
+        with pytest.raises(DimensionMismatch, match="witness value for '5' has dimension 3"):
+            verify_witness_for_element(instance, ragged, H_LABELS, "2")
 
 
 class TestSetVerification:
