@@ -85,24 +85,24 @@ def _select_queries(
             EXIT_SEMANTIC,
             "instance file has no queries; add a 'queries' section",
         )
+    # an integer in range is an index; anything else is a target label
+    try:
+        index = int(selector)
+    except ValueError:
+        index = None
     if selector == "all":
         chosen = list(queries)
+    elif index is not None and 0 <= index < len(queries):
+        chosen = [queries[index]]
     else:
-        try:
-            index = int(selector)
-        except ValueError:
-            chosen = [q for q in queries if q.q == selector]
-            if not chosen:
-                raise _Failure(
-                    EXIT_SEMANTIC, f"no query with target point {selector!r}"
-                ) from None
-        else:
-            if not 0 <= index < len(queries):
-                raise _Failure(
-                    EXIT_SEMANTIC,
-                    f"query index {index} out of range (file has {len(queries)})",
-                )
-            chosen = [queries[index]]
+        chosen = [q for q in queries if q.q == selector]
+    if not chosen:
+        if index is not None:
+            raise _Failure(
+                EXIT_SEMANTIC,
+                f"query index {index} out of range (file has {len(queries)})",
+            )
+        raise _Failure(EXIT_SEMANTIC, f"no query with target point {selector!r}")
     if direction:
         chosen = [Query(q.q, q.candidates, direction) for q in chosen]
     return chosen
@@ -211,7 +211,9 @@ def _pretty_approx(results: list[dict]) -> str:
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--query", "selector", default="all", show_default=True,
-              help="Which file query to run: 'all', an index, or a target label.")
+              help="Which file query to run: 'all', an index, or a target label. "
+                   "An integer in range is an index; any other value selects "
+                   "the queries with that target label.")
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
               help="Override the direction of the selected queries.")
 @_report_options
@@ -263,7 +265,9 @@ def _pretty_witness(doc: dict) -> str:
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["emit", "check"]), required=True)
 @click.option("--query", "selector", default="0", show_default=True,
-              help="File query supplying q and the candidate set.")
+              help="File query supplying q and the candidate set: an index, "
+                   "or a target label. An integer in range is an index; any "
+                   "other value selects the first query with that target label.")
 @click.option("--witness-path", type=click.Path(dir_okay=False), default=None,
               help="Where to write (emit) or read (check) the witness file.")
 @click.option("--members", multiple=True,

@@ -28,6 +28,17 @@ _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # rejected here, before int() would raise a ValueError of its own
 _MAX_DIGITS = 4300
 
+# The literals that as_rational accepts exactly as written, with no digit
+# run over the limit and a nonzero denominator: plain_value converts a
+# string that matches without any further check, and cannot fail on it.
+PLAIN_LITERAL = re.compile(
+    rf"[+-]?[0-9]{{1,{_MAX_DIGITS}}}(?:/(?=0*[1-9])[0-9]{{1,{_MAX_DIGITS}}})?"
+)
+
+# ints with at most this many bits have under 640 digits, the lowest limit
+# CPython lets int-string conversion be set to, so str() always renders them
+_STR_BITS = 2000
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce to an exact rational.
@@ -66,9 +77,40 @@ def as_rational(value: RationalLike) -> Fraction:
     raise NotARational(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def plain_value(literal: str | Fraction) -> Fraction:
+    """The value of a string that matches ``PLAIN_LITERAL``, or a
+    ``Fraction`` unchanged."""
+    if literal.__class__ is Fraction:
+        return literal
+    numerator, _, denominator = literal.partition("/")
+    if denominator:
+        return Fraction(int(numerator), int(denominator))
+    return Fraction(int(numerator))
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length: a long one is split by a power of
+    ten into halves that are rendered on their own, so no str() call sees
+    more digits than the interpreter's int-string limit allows."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) < 3/10
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(value: Fraction) -> str:
-    """Render as the literal the parser accepts ("p" or "p/q")."""
-    return str(value)
+    """Render as the literal the parser accepts ("p" or "p/q"), however
+    many digits it has; a value computed from literals can be longer than
+    the parser's 4,300-digit limit."""
+    try:
+        return str(value)
+    except ValueError:  # a part past the interpreter's int-string limit
+        if value.denominator == 1:
+            return _decimal(value.numerator)
+        return _decimal(value.numerator) + "/" + _decimal(value.denominator)
 
 
 @dataclass(frozen=True)
@@ -81,6 +123,14 @@ class Vec:
         object.__setattr__(
             self, "coords", tuple(as_rational(c) for c in self.coords)
         )
+
+    @classmethod
+    def _trusted(cls, coords: tuple[Fraction, ...]) -> "Vec":
+        """A vector over a tuple that already holds only ``Fraction``s,
+        built without coercing each coordinate again."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "coords", coords)
+        return vec
 
     @classmethod
     def of(cls, *coords: RationalLike) -> "Vec":
@@ -106,18 +156,18 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check_dim(other)
-        return Vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vec._trusted(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check_dim(other)
-        return Vec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vec._trusted(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.coords))
+        return Vec._trusted(tuple(-a for a in self.coords))
 
     def __mul__(self, scalar: RationalLike) -> "Vec":
         c = as_rational(scalar)
-        return Vec(tuple(a * c for a in self.coords))
+        return Vec._trusted(tuple(a * c for a in self.coords))
 
     __rmul__ = __mul__
 

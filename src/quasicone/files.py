@@ -4,7 +4,9 @@ Instance files are JSON with exact rational literals ("p" or "p/q"
 strings; binary floats are rejected). One file describes one instance:
 the ordered space, the labeled points, the metric (an explicit table or
 one of the closed-form generators), plus optional queries and an
-optional embedding for the linear-independence census.
+optional embedding for the linear-independence census. An explicit
+table is validated in full here, literal by literal, and its entries are
+converted only when the instance reads them.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from .approximation import ApproximationResult, FORWARD, Query
 from .chebyshev import ChebyshevReport
-from .cones import OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational
+from .cones import PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational
 from .errors import InstanceFileError, NotARational, UnknownLabel
 from .metric import (
     ALPHA_METRIC,
@@ -57,6 +59,29 @@ def _vec(value, where: str, dimension: int | None = None) -> Vec:
     if dimension is not None and len(coords) != dimension:
         raise _fail(where, f"expected {dimension} coordinates, got {len(coords)}")
     return Vec(coords)
+
+
+_plain = PLAIN_LITERAL.fullmatch
+
+
+def _literals(value, where: str, dimension: int) -> tuple:
+    """A table entry's vector as the instance keeps it until it is read:
+    each literal that ``PLAIN_LITERAL`` accepts as it is, anything else
+    converted or rejected by ``_rational``."""
+    try:
+        if isinstance(value, list) and len(value) == dimension and all(map(_plain, value)):
+            return tuple(value)
+    except TypeError:  # a coordinate that is not a string; see below
+        pass
+    if not isinstance(value, list):
+        raise _fail(where, f"expected an array of rational literals, got {type(value).__name__}")
+    coords = tuple(
+        c if isinstance(c, str) and _plain(c) else _rational(c, f"{where}[{i}]")
+        for i, c in enumerate(value)
+    )
+    if len(coords) != dimension:
+        raise _fail(where, f"expected {dimension} coordinates, got {len(coords)}")
+    return coords
 
 
 def _require(doc: dict, key: str, where: str):
@@ -136,6 +161,8 @@ def parse_instance(doc: dict) -> LoadedInstance:
         coords = [(label, coord) for label, coord in points]
         if kind == "example4":
             alpha = _rational(_require(metric, "alpha", "metric"), "metric.alpha")
+            if alpha <= 0:
+                raise _fail("metric.alpha", f"alpha must be positive, got {format_rational(alpha)}")
         try:
             if kind == "example3":
                 instance = build_example3(coords)
@@ -151,20 +178,19 @@ def parse_instance(doc: dict) -> LoadedInstance:
         known = set(labels)
         table = {}
         for i, entry in enumerate(entries_doc):
-            spot = f"metric.entries[{i}]"
             if not (isinstance(entry, list) and len(entry) == 3):
-                raise _fail(spot, "expected [from, to, vector]")
+                raise _fail(f"metric.entries[{i}]", "expected [from, to, vector]")
             src, dst, value = entry
             if not (isinstance(src, str) and isinstance(dst, str)):
-                raise _fail(spot, "from/to must be label strings")
-            for label in (src, dst):
-                if label not in known:
-                    raise _fail(spot, f"label {label!r} is not in 'points'")
+                raise _fail(f"metric.entries[{i}]", "from/to must be label strings")
+            if src not in known or dst not in known:
+                label = dst if src in known else src
+                raise _fail(f"metric.entries[{i}]", f"label {label!r} is not in 'points'")
             if (src, dst) in table:
-                raise _fail(spot, f"repeats the entry for ({src!r}, {dst!r})")
-            table[(src, dst)] = _vec(value, f"{spot}[2]", space.dimension)
+                raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
+            table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", space.dimension)
         try:
-            instance = QcmInstance(space, labels, table)
+            instance = QcmInstance._from_literals(space, labels, table)
         except (ValueError, KeyError) as exc:
             raise _fail("metric.entries", str(exc)) from None
     else:

@@ -8,9 +8,11 @@ backward problems genuinely different.
 Two closed-form generators are provided (a two-valued direction metric
 over Q^2 and a slack metric with a positive parameter alpha). Their
 instances store no table: each entry is computed from the closed form
-when it is read, so a query pays only for the entries it reads. An
-exhaustive axiom checker decides every ordered pair and triple on one
-integer projection of the table.
+when it is read. An explicit table read from a file keeps its validated
+literals and converts an entry the first time it is read. Either way a
+query pays only for the entries it reads. An exhaustive axiom checker
+decides every ordered pair and triple on one integer projection of the
+table.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .cones import OrderedSpace, RationalLike, Vec, as_rational, project
+from .cones import OrderedSpace, RationalLike, Vec, as_rational, plain_value, project
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
 from .reports import AxiomCheck, AxiomReport
 
@@ -64,11 +66,13 @@ class QcmInstance:
     """A finite ground set with a total cone-valued distance table.
 
     Immutable after construction, so instances are safe to share. An
-    explicit table is copied in and only read thereafter. An instance
-    with a generator provenance keeps only the points' coordinates and
-    computes each entry from the closed form when it is read; a table
-    supplied with such a provenance is checked against the closed form
-    entry by entry and then dropped.
+    explicit table is copied in and only read thereafter. A table that
+    the file parser built keeps each entry as its validated literals and
+    converts it to a ``Vec`` the first time it is read; later reads return
+    the kept ``Vec``. An instance with a generator provenance keeps only
+    the points' coordinates and computes each entry from the closed form
+    when it is read; a table supplied with such a provenance is checked
+    against the closed form entry by entry and then dropped.
     """
 
     def __init__(
@@ -106,17 +110,43 @@ class QcmInstance:
         instance._init(space, points, provenance)
         return instance
 
+    @classmethod
+    def _from_literals(
+        cls,
+        space: OrderedSpace,
+        points: Sequence[Label],
+        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]],
+    ) -> "QcmInstance":
+        """An explicit table whose entries are converted when first read.
+
+        The file parser uses it. It has already checked every key (a pair
+        of points) and every value: one coordinate per dimension, each a
+        string that matches ``cones.PLAIN_LITERAL`` or a ``Fraction``. So
+        counting the keys decides totality, and no conversion can fail.
+        Threads that first read one entry at the same time may each convert
+        it; they keep equal values.
+        """
+        points = _ground_set(points)
+        if len(literals) != len(points) ** 2:
+            r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
+            raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
+        instance = cls.__new__(cls)
+        instance._init(space, points, _EXPLICIT, {}, literals)
+        return instance
+
     def _init(
         self,
         space: OrderedSpace,
         points: tuple[Label, ...],
         provenance: Provenance,
         table: dict[tuple[Label, Label], Vec] | None = None,
+        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]] | None = None,
     ) -> None:
         self._space = space
         self._points = points
         self._label_set = frozenset(points)
         self._provenance = provenance
+        self._literals = literals
         if provenance.kind == EXPLICIT_TABLE:
             self._table, self._coords = table, None
         else:
@@ -165,7 +195,10 @@ class QcmInstance:
             a, b = self._coords[r], self._coords[s]
         except KeyError:
             self.require_points((r, s))
-            raise
+            # both are points, so this is a parsed entry not read before
+            value = Vec._trusted(tuple(map(plain_value, self._literals[(r, s)])))
+            self._table[(r, s)] = value
+            return value
         if self._provenance.kind == DIRECTION_METRIC:
             return direction_distance(a, b)
         return alpha_distance(a, b, self._provenance.alpha)

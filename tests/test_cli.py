@@ -232,6 +232,25 @@ class TestExitCodes:
         assert run("approx", slack_file, "--query", "7").exit_code == 3
         assert run("approx", slack_file, "--query", "zzz").exit_code == 3
 
+    def test_integer_target_label_selects_query(self, slack_file):
+        # the file's one query targets the point labelled 5
+        by_index = run("approx", slack_file, "--query", "0")
+        by_label = run("approx", slack_file, "--query", "5")
+        assert by_label.exit_code == 0, by_label.output
+        assert by_label.stdout == by_index.stdout
+        emit = run("witness", slack_file, "--mode", "emit", "--query", "5")
+        assert emit.exit_code == 0, emit.output
+        assert json.loads(emit.stdout)["witness"]["q"] == "5"
+        assert "query index 7 out of range (file has 1)" in run(
+            "approx", slack_file, "--query", "7").stderr
+
+    def test_index_in_range_wins_over_label(self, slack_file):
+        doc = json.loads(slack_file.read_text())
+        doc["queries"] = [{"q": "1"}, {"q": "0"}]
+        slack_file.write_text(json.dumps(doc))
+        results = json.loads(run("approx", slack_file, "--query", "1").stdout)["results"]
+        assert [r["q"] for r in results] == ["0"]
+
     def test_pseudo_without_embedding_is_3(self, slack_file):
         assert run("classify", slack_file, "--pseudo").exit_code == 3
 
@@ -293,6 +312,22 @@ class TestExitCodes:
         result = run("verify", path)
         assert result.exit_code == 2
         assert f"error: {path}: metric.alpha: rational literal has a run of 5000 digits" in result.stderr
+
+    def test_values_past_the_input_limit_print(self, tmp_path):
+        big = "1" + "0" * 3000
+        doc = {
+            "points": [{"label": "a", "coordinate": "0"}, {"label": "b", "coordinate": big}],
+            "metric": {"kind": "example4", "alpha": big},
+            "queries": [{"q": "b", "candidates": ["a"]}],
+        }
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        result = run("approx", path)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["results"][0]["common_distance"] == [big, "1" + "0" * 6000]
+        pretty = run("approx", path, "--pretty")
+        assert pretty.exit_code == 0, pretty.output
+        assert "1" + "0" * 6000 in pretty.stdout
 
     def test_bad_grid_spec_is_3(self):
         assert run("example", "example4", "--grid", "0..2").exit_code == 3

@@ -17,6 +17,7 @@ from quasicone import (
     as_rational,
     check_cone_axioms,
     exact_rank,
+    format_rational,
     kernel_vector,
 )
 from quasicone.cones import _nonzero_member, project
@@ -24,6 +25,21 @@ from quasicone.cones import _nonzero_member, project
 from helpers import pointed_cones, vectors
 
 ORTHANT2 = OrderedSpace.orthant(2)
+
+
+def as_rational_any_length(text):
+    """The value of a "p" or "p/q" literal, read in 1,000-digit chunks so no
+    int() call meets the interpreter's int-string limit."""
+    def read(digits):
+        sign = -1 if digits.startswith("-") else 1
+        digits = digits.lstrip("-")
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return sign * value
+    numerator, _, denominator = text.partition("/")
+    return Fraction(read(numerator), read(denominator) if denominator else 1)
 ORTHANT3 = OrderedSpace.orthant(3)
 
 # pointed, solid, but not the orthant: {x : 2a - b >= 0, -a + 2b >= 0}
@@ -93,6 +109,23 @@ class TestRationals:
         with pytest.raises(NotARational):
             as_rational("1/0")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 50_000), st.integers(1, 30_000), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_format_any_length(self, bits, denominator_bits, negative, rng):
+        # past 4,300 digits str() raises; below it both must agree
+        numerator = rng.getrandbits(bits)
+        value = Fraction(-numerator if negative else numerator, rng.getrandbits(denominator_bits) | 1)
+        text = format_rational(value)
+        assert as_rational_any_length(text) == value
+        if value.numerator.bit_length() < 14_000 and value.denominator.bit_length() < 14_000:
+            assert text == str(value)
+
+    def test_format_powers_of_ten(self):
+        for digits in (4300, 4301, 6001, 20_000):
+            assert format_rational(Fraction(10**digits)) == "1" + "0" * digits
+            assert format_rational(Fraction(-(10**digits) + 1)) == "-" + "9" * digits
+
 
 class TestVec:
     def test_arithmetic(self):
@@ -106,6 +139,12 @@ class TestVec:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Vec.of(1, 2) + Vec.of(1, 2, 3)
+
+    def test_arithmetic_keeps_fractions(self):
+        a, b = Vec.of(1, "1/2"), Vec.of("1/3", 2)
+        for result in (a + b, a - b, -a, a * 2, 2 * a, a * "1/3"):
+            assert all(type(c) is Fraction for c in result)
+            assert result == Vec(tuple(result.coords))
 
 
 class TestMembership:

@@ -1,7 +1,9 @@
 """Instance and witness file schemas: round trips and precise failures."""
 import copy
 import json
+import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,15 @@ from quasicone import (
     BACKWARD,
     FORWARD,
     InstanceFileError,
+    NotARational,
     OrderedSpace,
     PolyhedralCone,
     QcmInstance,
     Query,
     UnknownLabel,
     Vec,
+    as_rational,
+    best_approximation_set,
     build_example3,
     build_example4,
     canonical_witness,
@@ -25,9 +30,13 @@ from quasicone import (
     load_witness_file,
     parse_instance,
     parse_witness,
+    transpose,
+    verify_axioms,
     witness_json,
 )
-from quasicone.files import parse_space, space_json
+from quasicone import metric
+from quasicone.cones import PLAIN_LITERAL, plain_value
+from quasicone.files import _literals, parse_space, space_json
 
 from helpers import random_table_instance, rational_grid, seeded_instances, small_rationals
 
@@ -183,6 +192,9 @@ class TestParseInstance:
              r"^metric\.entries\[1\]\[2\]\[0\]: not a rational literal"),
             (lambda d: d["metric"]["entries"][1][2].__setitem__(1, NON_ASCII_LITERALS[1]),
              r"^metric\.entries\[1\]\[2\]\[1\]: not a rational literal"),
+            (lambda d: d.update(points=EXAMPLE4_DOC["points"],
+                                metric={"kind": "example4", "alpha": "0"}),
+             r"^metric\.alpha: alpha must be positive, got 0$"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):
@@ -333,6 +345,104 @@ class TestLoadFiles:
         changed = QcmInstance(instance.space, instance.points, table)
         assert not changed.table_equal(loaded.instance)
         assert not loaded.instance.table_equal(changed)
+
+
+# literal-like strings: signs, digits, slashes, padding, underscores and
+# non-ASCII digits, plus digit runs at and just past the limit
+literal_text = st.text(alphabet="0123456789+-/ _\u0661\uff13", max_size=8)
+literal_edges = st.sampled_from([
+    "1/0", "1/00", "0/0", " 1", "1 ", "1_0", "+0/1", "-0", "+", "/", "1/", "/2",
+    "1//2", "2/4", "007/0010", "\u0661/\u0662", "\uff13",
+    "9" * 4300, "9" * 4301, "-" + "9" * 4300, "1/" + "7" * 4300, "1/" + "7" * 4301,
+    "1/" + "0" * 4300, "1/" + "0" * 4299 + "1", "0" * 4301 + "/1",
+])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | literal_text | literal_edges
+)
+
+
+class TestTableLiteralGate:
+    """The parser keeps a table literal that ``PLAIN_LITERAL`` accepts and
+    converts it only when the entry is read; together with the fallback
+    to ``as_rational`` it must accept exactly what ``as_rational`` accepts,
+    with the same value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_scalars)
+    def test_gate_agrees_with_as_rational(self, value):
+        try:
+            expected = as_rational(value)
+        except NotARational:
+            expected = None
+        try:
+            (kept,) = _literals([value], "x", 1)
+        except InstanceFileError as exc:
+            assert expected is None, exc
+            assert str(exc).startswith("x[0]: ")
+        else:
+            assert expected is not None
+            assert plain_value(kept) == expected
+            assert isinstance(kept, Fraction) or PLAIN_LITERAL.fullmatch(kept)
+
+    def test_zero_denominators_and_limits(self):
+        for text in ("1/0", "1/00", "-5/" + "0" * 4300):
+            with pytest.raises(InstanceFileError, match="zero denominator"):
+                _literals([text], "x", 1)
+        for text in ("9" * 4301, "1/" + "7" * 4301):
+            with pytest.raises(InstanceFileError, match="run of 4301 digits"):
+                _literals([text], "x", 1)
+        assert plain_value(_literals(["9" * 4300], "x", 1)[0]) == int("9" * 4300)
+
+
+class TestTableReadOnDemand:
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        """Counts the literal conversions of table entries from here on."""
+        calls = []
+        convert = metric.plain_value
+
+        def counting(literal):
+            calls.append(literal)
+            return convert(literal)
+
+        monkeypatch.setattr(metric, "plain_value", counting)
+        return calls
+
+    @staticmethod
+    def parsed(instance):
+        return parse_instance(json.loads(json.dumps(instance_json(instance)))).instance
+
+    def test_queries_convert_only_their_row(self, conversions):
+        instance = random_table_instance(random.Random(5), max_points=30, dim=3)
+        loaded = self.parsed(instance)
+        assert len(conversions) == 0
+        q = loaded.points[0]
+        candidates = frozenset(loaded.points[1::2])
+        best_approximation_set(loaded, Query(q, candidates, BACKWARD))
+        assert 0 < len(conversions) <= 3 * len(candidates)
+        conversions.clear()
+        r, s = loaded.points[1], loaded.points[-1]
+        first = loaded.distance(r, s)
+        assert loaded.distance(r, s) is first
+        assert len(conversions) == 3
+
+    def test_parsed_table_matches_eager_copy(self):
+        for instance, _ in seeded_instances(6, seed=31):
+            loaded = self.parsed(instance)
+            assert loaded.table_equal(instance)
+            assert verify_axioms(loaded) == verify_axioms(instance)
+            assert transpose(loaded).table_equal(transpose(instance))
+            assert instance_json(self.parsed(instance)) == instance_json(instance)
+
+    def test_literals_that_are_not_plain(self):
+        doc = json.loads(json.dumps(TABLE_DOC))
+        doc["metric"]["entries"][1][2] = [3, " 2/4 "]
+        doc["metric"]["entries"][2][2] = ["+0/5", "-007/0014"]
+        instance = parse_instance(doc).instance
+        assert instance.distance("a", "b") == Vec.of(3, "1/2")
+        assert instance.distance("b", "a") == Vec.of(0, "-1/2")
+        assert all(type(c) is Fraction for _, _, v in instance.entries() for c in v)
 
 
 class TestWitnessFiles:
