@@ -272,7 +272,8 @@ def _pretty_witness(doc: dict) -> str:
               help="Where to write (emit) or read (check) the witness file.")
 @click.option("--members", multiple=True,
               help="Check mode only: check the witness for exactly these members (repeatable).")
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None)
+@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
+              help="Emit mode only: override the direction of the selected query.")
 @_report_options
 def witness(path, mode, selector, witness_path, members, direction, out, pretty):
     """Emit the canonical witness for a query, or check a witness file.
@@ -284,6 +285,11 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     def body():
         if members and mode == "emit":
             raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
+        if direction and mode == "check":
+            raise _Failure(
+                EXIT_SEMANTIC,
+                "--direction applies to --mode emit only; check mode uses the witness file's direction",
+            )
         loaded = load_instance_file(path)
         query = _select_queries(loaded, selector, direction)[0]
         candidates = sorted(query.candidates)
@@ -453,8 +459,8 @@ def _parse_grid(spec: str) -> list[Fraction]:
 @click.option("--beta", default=None,
               help="Query parameter; the query point is beta^2 for example3 "
                    "and beta itself for example4.")
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=FORWARD,
-              show_default=True)
+@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
+              help="Direction of the --beta query; needs --beta, default forward.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
@@ -462,6 +468,8 @@ def example(name, grid, alpha, beta, direction, out):
     def body():
         if alpha is not None and name != "example4":
             raise _Failure(EXIT_SEMANTIC, f"--alpha applies to example4 only, not {name}")
+        if direction is not None and beta is None:
+            raise _Failure(EXIT_SEMANTIC, "--direction applies to the --beta query; give --beta")
         grid_values = _parse_grid(grid)
         points = [(format_rational(v), v) for v in grid_values]
         candidate_labels = [label for label, _ in points]
@@ -475,7 +483,7 @@ def example(name, grid, alpha, beta, direction, out):
             q_label = format_rational(q_value)
             if q_value not in grid_values:
                 points.append((q_label, q_value))
-            queries.append(Query(q_label, frozenset(candidate_labels), direction))
+            queries.append(Query(q_label, frozenset(candidate_labels), direction or FORWARD))
         if name == "example3":
             instance = build_example3(points)
         else:

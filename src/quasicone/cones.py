@@ -10,6 +10,7 @@ is {0} are decided exactly too, by a phase-1 simplex over ``Fraction``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -24,9 +25,11 @@ RationalLike = Union[Fraction, int, str]
 # ASCII digits only: "\d" would also admit every other Unicode digit
 _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-# CPython's default limit on int-string conversion; a longer digit run is
-# rejected here, before int() would raise a ValueError of its own
-_MAX_DIGITS = 4300
+# CPython's default limit on int-string conversion, or the interpreter's
+# lower one (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits); 0 means no
+# limit, and before CPython 3.10.7 there is none. A longer digit run is
+# rejected here, before int() would raise a ValueError of its own.
+_MAX_DIGITS = min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
 
 # The literals that as_rational accepts exactly as written, with no digit
 # run over the limit and a nonzero denominator: plain_value converts a
@@ -44,10 +47,11 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce to an exact rational.
 
     Accepts ``Fraction``, ``int``, and literal strings ``"p"`` / ``"p/q"``
-    (an optional sign, ASCII digits only, at most 4,300 digits in each
-    part, surrounding whitespace ignored). Floats are rejected outright: a
-    binary float is not the number the user wrote down, and the order
-    predicates must stay exact.
+    that match ``PLAIN_LITERAL`` once surrounding whitespace is stripped:
+    an optional sign, ASCII digits only, at most 4,300 digits in each part
+    (fewer when the interpreter's int-string limit is lower) and a nonzero
+    denominator. Floats are rejected outright: a binary float is not the
+    number the user wrote down, and the order predicates must stay exact.
     """
     if isinstance(value, Fraction):
         return value
@@ -60,7 +64,11 @@ def as_rational(value: RationalLike) -> Fraction:
             f"floats are not exact: {value!r}; pass an int, Fraction, or 'p/q' string"
         )
     if isinstance(value, str):
-        match = _RATIONAL_LITERAL.fullmatch(value.strip())
+        text = value.strip()
+        if PLAIN_LITERAL.fullmatch(text):
+            return plain_value(text)
+        # rejected: the looser pattern only picks the message
+        match = _RATIONAL_LITERAL.fullmatch(text)
         if match is None:
             raise NotARational(f"not a rational literal 'p' or 'p/q': {value!r}")
         numerator, denominator = match.groups()
@@ -69,11 +77,7 @@ def as_rational(value: RationalLike) -> Fraction:
             raise NotARational(
                 f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
             )
-        if denominator is None:
-            return Fraction(int(numerator))
-        if not int(denominator):
-            raise NotARational(f"zero denominator: {value!r}")
-        return Fraction(int(numerator), int(denominator))
+        raise NotARational(f"zero denominator: {value!r}")
     raise NotARational(f"cannot interpret {type(value).__name__} as a rational")
 
 

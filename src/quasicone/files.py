@@ -116,10 +116,11 @@ def _parse_points(doc, where: str = "points") -> list[tuple[Label, Fraction | No
     if not isinstance(doc, list) or not doc:
         raise _fail(where, "expected a nonempty array of points")
     points = []
+    seen = set()
     for i, entry in enumerate(doc):
         spot = f"{where}[{i}]"
         if isinstance(entry, str):
-            points.append((entry, None))
+            label, coordinate = entry, None
         elif isinstance(entry, dict):
             label = _require(entry, "label", spot)
             if not isinstance(label, str):
@@ -127,9 +128,12 @@ def _parse_points(doc, where: str = "points") -> list[tuple[Label, Fraction | No
             coordinate = entry.get("coordinate")
             if coordinate is not None:
                 coordinate = _rational(coordinate, f"{spot}.coordinate")
-            points.append((label, coordinate))
         else:
             raise _fail(spot, "expected a label string or an object with 'label'")
+        if label in seen:
+            raise _fail(spot, f"duplicate point label {label!r}")
+        seen.add(label)
+        points.append((label, coordinate))
     return points
 
 
@@ -158,18 +162,21 @@ def parse_instance(doc: dict) -> LoadedInstance:
                     "space",
                     f"metric kind {kind!r} fixes the plane with the orthant cone",
                 )
-        coords = [(label, coord) for label, coord in points]
         if kind == "example4":
             alpha = _rational(_require(metric, "alpha", "metric"), "metric.alpha")
             if alpha <= 0:
                 raise _fail("metric.alpha", f"alpha must be positive, got {format_rational(alpha)}")
-        try:
-            if kind == "example3":
-                instance = build_example3(coords)
-            else:
-                instance = build_example4(coords, alpha)
-        except ValueError as exc:
-            raise _fail("metric", str(exc)) from None
+        by_value = {}
+        for i, (label, coord) in enumerate(points):
+            if coord in by_value:
+                raise _fail(
+                    f"points[{i}].coordinate",
+                    f"points {by_value[coord]!r} and {label!r} share coordinate "
+                    f"{format_rational(coord)}; distinct points at equal coordinates "
+                    "would get distance zero",
+                )
+            by_value[coord] = label
+        instance = build_example3(points) if kind == "example3" else build_example4(points, alpha)
     elif kind == "table":
         space = parse_space(_require(doc, "space", "top level"))
         entries_doc = _require(metric, "entries", "metric")
@@ -190,8 +197,8 @@ def parse_instance(doc: dict) -> LoadedInstance:
                 raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
             table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", space.dimension)
         try:
-            instance = QcmInstance._from_literals(space, labels, table)
-        except (ValueError, KeyError) as exc:
+            instance = QcmInstance._on_read(space, labels, literals=table)
+        except ValueError as exc:  # the table is not total
             raise _fail("metric.entries", str(exc)) from None
     else:
         raise _fail("metric.kind", f"unknown kind {kind!r}; expected 'table', 'example3', or 'example4'")

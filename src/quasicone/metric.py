@@ -5,20 +5,20 @@ cone-valued distance table. The distance need not be symmetric: d(r, s)
 and d(s, r) are independent entries, which is what makes the forward and
 backward problems genuinely different.
 
-Two closed-form generators are provided (a two-valued direction metric
-over Q^2 and a slack metric with a positive parameter alpha). Their
-instances store no table: each entry is computed from the closed form
-when it is read. An explicit table read from a file keeps its validated
-literals and converts an entry the first time it is read. Either way a
-query pays only for the entries it reads. An exhaustive axiom checker
-decides every ordered pair and triple on one integer projection of the
-table.
+An instance answers d(r, s) from one store, a dict of the ``Vec``s it
+keeps, or else from one reader chosen when it is built. A table read
+from a file keeps its literals, and its reader converts an entry on the
+first read into the store. The two closed-form generators (a two-valued
+direction metric over Q^2 and a slack metric with a positive parameter
+alpha) keep nothing: their reader evaluates the closed form. So a query
+pays only for the entries it reads. An exhaustive axiom checker decides
+every ordered pair and triple on one integer projection of the table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .cones import OrderedSpace, RationalLike, Vec, as_rational, plain_value, project
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
@@ -65,14 +65,15 @@ def _ground_set(labels: Iterable[Label]) -> tuple[Label, ...]:
 class QcmInstance:
     """A finite ground set with a total cone-valued distance table.
 
-    Immutable after construction, so instances are safe to share. An
-    explicit table is copied in and only read thereafter. A table that
-    the file parser built keeps each entry as its validated literals and
-    converts it to a ``Vec`` the first time it is read; later reads return
-    the kept ``Vec``. An instance with a generator provenance keeps only
-    the points' coordinates and computes each entry from the closed form
-    when it is read; a table supplied with such a provenance is checked
-    against the closed form entry by entry and then dropped.
+    Immutable after construction, so instances are safe to share. A read
+    of d(r, s) is a hit in the instance's store, or else a call of its
+    reader. A table passed to the constructor is the whole store; with a
+    generator provenance it is instead checked against the closed form
+    entry by entry and dropped, and the reader evaluates the closed form
+    on every read. A table that the file parser built keeps its validated
+    literals; the reader converts an entry on its first read and keeps the
+    ``Vec`` in the store. Threads that first read one entry at the same
+    time may each convert it; they keep equal values.
     """
 
     def __init__(
@@ -83,7 +84,7 @@ class QcmInstance:
         provenance: Provenance = _EXPLICIT,
     ):
         points = _ground_set(points)
-        tbl: dict[tuple[Label, Label], Vec] = {}
+        store: dict[tuple[Label, Label], Vec] = {}
         for r in points:
             for s in points:
                 try:
@@ -95,74 +96,51 @@ class QcmInstance:
                         f"entry d({r!r}, {s!r}) has dimension {value.dimension}, "
                         f"space has {space.dimension}"
                     )
-                tbl[(r, s)] = value
-        self._init(space, points, provenance, tbl)
-        if self._table is None:
-            self._check_generated(tbl)
+                store[(r, s)] = value
+        read = None
+        if provenance.kind != EXPLICIT_TABLE:
+            read = _closed_form(provenance)
+            for (r, s), value in store.items():
+                if value != read(r, s):
+                    raise ValueError(
+                        f"table entry d({r!r}, {s!r}) = {value} does not "
+                        f"match its generator value {read(r, s)}"
+                    )
+            store = {}
+        self._init(space, points, provenance, store, read)
 
     @classmethod
-    def _generated(
-        cls, space: OrderedSpace, points: tuple[Label, ...], provenance: Provenance
+    def _on_read(
+        cls, space: OrderedSpace, points: Sequence[Label], provenance: Provenance = _EXPLICIT,
+        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]] | None = None,
     ) -> "QcmInstance":
-        """An instance whose entries come from its generator provenance
-        alone; the builders use it, so no table is filled or checked."""
-        instance = cls.__new__(cls)
-        instance._init(space, points, provenance)
-        return instance
-
-    @classmethod
-    def _from_literals(
-        cls,
-        space: OrderedSpace,
-        points: Sequence[Label],
-        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]],
-    ) -> "QcmInstance":
-        """An explicit table whose entries are converted when first read.
-
-        The file parser uses it. It has already checked every key (a pair
-        of points) and every value: one coordinate per dimension, each a
-        string that matches ``cones.PLAIN_LITERAL`` or a ``Fraction``. So
-        counting the keys decides totality, and no conversion can fail.
-        Threads that first read one entry at the same time may each convert
-        it; they keep equal values.
-        """
+        """An instance that computes each entry when it is read: from its
+        generator provenance (the builders), or from a table's literals (the
+        file parser). The parser has already checked every key (a pair of
+        points) and every value: one coordinate per dimension, each a string
+        that matches ``cones.PLAIN_LITERAL`` or a ``Fraction``. So counting
+        the keys decides totality, and no conversion can fail."""
         points = _ground_set(points)
-        if len(literals) != len(points) ** 2:
+        store: dict[tuple[Label, Label], Vec] = {}
+        if literals is None:
+            read = _closed_form(provenance)
+        elif len(literals) != len(points) ** 2:
             r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
             raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
+        else:
+            def read(r: Label, s: Label) -> Vec:
+                store[(r, s)] = value = Vec._trusted(tuple(map(plain_value, literals[(r, s)])))
+                return value
         instance = cls.__new__(cls)
-        instance._init(space, points, _EXPLICIT, {}, literals)
+        instance._init(space, points, provenance, store, read)
         return instance
 
-    def _init(
-        self,
-        space: OrderedSpace,
-        points: tuple[Label, ...],
-        provenance: Provenance,
-        table: dict[tuple[Label, Label], Vec] | None = None,
-        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]] | None = None,
-    ) -> None:
-        self._space = space
-        self._points = points
+    def _init(self, space, points, provenance, store, read) -> None:
+        """``read`` answers the points' pairs the store misses; it is None
+        when the store holds every entry."""
+        self._space, self._points, self._provenance = space, points, provenance
         self._label_set = frozenset(points)
-        self._provenance = provenance
-        self._literals = literals
-        if provenance.kind == EXPLICIT_TABLE:
-            self._table, self._coords = table, None
-        else:
-            # once per instance: coordinate_map() builds a new dict per call
-            coords = provenance.coordinate_map()
-            self._table, self._coords = None, {p: coords[p] for p in points}
-
-    def _check_generated(self, table: Mapping[tuple[Label, Label], Vec]) -> None:
-        for r in self._points:
-            for s in self._points:
-                expected = self.distance(r, s)
-                if table[(r, s)] != expected:
-                    raise ValueError(
-                        f"table entry d({r!r}, {s!r}) = {table[(r, s)]} does not "
-                        f"match its generator value {expected}"
-                    )
+        self._store, self._read = store, read
 
     @property
     def space(self) -> OrderedSpace:
@@ -189,19 +167,11 @@ class QcmInstance:
                 raise UnknownLabel(f"unknown point label {label!r}")
 
     def distance(self, r: Label, s: Label) -> Vec:
-        try:
-            if self._coords is None:
-                return self._table[(r, s)]
-            a, b = self._coords[r], self._coords[s]
-        except KeyError:
+        value = self._store.get((r, s))
+        if value is None:
             self.require_points((r, s))
-            # both are points, so this is a parsed entry not read before
-            value = Vec._trusted(tuple(map(plain_value, self._literals[(r, s)])))
-            self._table[(r, s)] = value
-            return value
-        if self._provenance.kind == DIRECTION_METRIC:
-            return direction_distance(a, b)
-        return alpha_distance(a, b, self._provenance.alpha)
+            value = self._read(r, s)
+        return value
 
     def entries(self) -> Iterable[tuple[Label, Label, Vec]]:
         for r in self._points:
@@ -225,6 +195,16 @@ class QcmInstance:
 # ---------------------------------------------------------------------------
 # Closed-form generators
 # ---------------------------------------------------------------------------
+
+def _closed_form(provenance: Provenance) -> Callable[[Label, Label], Vec]:
+    """The reader of a generator provenance: its closed form at the two
+    points' coordinates."""
+    coords = provenance.coordinate_map()
+    if provenance.kind == DIRECTION_METRIC:
+        return lambda r, s: direction_distance(coords[r], coords[s])
+    alpha = provenance.alpha
+    return lambda r, s: alpha_distance(coords[r], coords[s], alpha)
+
 
 def direction_distance(r: Fraction, s: Fraction) -> Vec:
     """Two-valued direction metric on rational coordinates.
@@ -269,7 +249,7 @@ def build_example3(points: Sequence[tuple[Label, RationalLike]]) -> QcmInstance:
     provenance = Provenance(
         DIRECTION_METRIC, coordinates=tuple(sorted(coords.items()))
     )
-    return QcmInstance._generated(OrderedSpace.orthant(2), labels, provenance)
+    return QcmInstance._on_read(OrderedSpace.orthant(2), labels, provenance)
 
 
 def build_example4(
@@ -283,7 +263,7 @@ def build_example4(
     provenance = Provenance(
         ALPHA_METRIC, alpha=alpha, coordinates=tuple(sorted(coords.items()))
     )
-    return QcmInstance._generated(OrderedSpace.orthant(2), labels, provenance)
+    return QcmInstance._on_read(OrderedSpace.orthant(2), labels, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,19 @@ class TestWitnessCommand:
         assert result.stdout == ""
 
 
+    def test_direction_only_in_emit_mode(self, slack_file, tmp_path):
+        wpath = tmp_path / "w.json"
+        run("witness", slack_file, "--mode", "emit", "--witness-path", wpath)
+        result = run("witness", slack_file, "--mode", "check", "--witness-path", wpath,
+                     "--direction", "forward")
+        assert result.exit_code == 3
+        assert "--direction" in result.stderr
+        assert result.stdout == ""
+        emit = run("witness", slack_file, "--mode", "emit", "--direction", "backward")
+        assert emit.exit_code == 0
+        assert json.loads(emit.stdout)["witness"]["direction"] == "backward"
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -296,6 +309,43 @@ class TestExitCodes:
         path = tmp_path / "default.json"
         assert run("example", "example4", "--grid", "0:2:1", "--out", path).exit_code == 0
         assert json.loads(path.read_text())["metric"] == {"kind": "example4", "alpha": "1"}
+
+    def test_example_direction_needs_beta(self, tmp_path):
+        result = run("example", "example4", "--grid", "0:2:1", "--direction", "backward")
+        assert result.exit_code == 3
+        assert "--direction" in result.stderr
+        assert result.stdout == ""
+        for extra, direction in (((), "forward"), (("--direction", "backward"), "backward")):
+            path = tmp_path / f"{direction}.json"
+            result = run("example", "example4", "--grid", "0:2:1", "--beta", "5", *extra, "--out", path)
+            assert result.exit_code == 0, result.output
+            assert json.loads(path.read_text())["queries"][0]["direction"] == direction
+
+    def test_lower_interpreter_digit_limit_is_2(self, tmp_path):
+        # a subprocess, since the limit is read when the package is imported
+        entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]
+        entries[1][2] = ["9" * 700]
+        path = table_file(tmp_path, entries)
+        doc = json.loads(path.read_text())
+        src = Path(quasicone.__file__).parents[1]
+
+        def verify():
+            return subprocess.run(
+                [sys.executable, "-m", "quasicone.cli", "verify", str(path)],
+                capture_output=True, text=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "640"},
+            )
+
+        result = verify()
+        assert result.returncode == 2, result.stderr
+        assert ("metric.entries[1][2][0]: rational literal has a run of 700 digits; "
+                "at most 640 are allowed") in result.stderr
+        doc["space"]["rows"] = [["7" * 700]]
+        doc["metric"]["entries"][1][2] = ["1"]
+        path.write_text(json.dumps(doc))
+        result = verify()
+        assert result.returncode == 2, result.stderr
+        assert "space.rows[0][0]: rational literal has a run of 700 digits" in result.stderr
 
     def test_overlong_literals_are_2(self, tmp_path):
         entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]

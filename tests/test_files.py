@@ -195,6 +195,13 @@ class TestParseInstance:
             (lambda d: d.update(points=EXAMPLE4_DOC["points"],
                                 metric={"kind": "example4", "alpha": "0"}),
              r"^metric\.alpha: alpha must be positive, got 0$"),
+            (lambda d: d.__setitem__("points", ["a", "b", "a"]),
+             r"^points\[2\]: duplicate point label 'a'$"),
+            (lambda d: d.update(points=[EXAMPLE4_DOC["points"][0]] * 2, metric={"kind": "example3"}),
+             r"^points\[1\]: duplicate point label '0'$"),
+            (lambda d: d.update(points=[*EXAMPLE4_DOC["points"], {"label": "x", "coordinate": "2/4"}],
+                                metric=EXAMPLE4_DOC["metric"]),
+             r"^points\[2\]\.coordinate: points '1/2' and 'x' share coordinate 1/2;"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):
@@ -434,6 +441,15 @@ class TestTableReadOnDemand:
             assert verify_axioms(loaded) == verify_axioms(instance)
             assert transpose(loaded).table_equal(transpose(instance))
             assert instance_json(self.parsed(instance)) == instance_json(instance)
+
+    def test_transpose_converts_each_entry_once(self, conversions):
+        instance = random_table_instance(random.Random(8), max_points=12, dim=2)
+        loaded = self.parsed(instance)
+        swapped = transpose(loaded)
+        assert swapped.table_equal(transpose(instance))
+        assert len(conversions) == 2 * loaded.size**2
+        assert transpose(loaded).table_equal(swapped)
+        assert len(conversions) == 2 * loaded.size**2
 
     def test_literals_that_are_not_plain(self):
         doc = json.loads(json.dumps(TABLE_DOC))

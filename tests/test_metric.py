@@ -82,6 +82,16 @@ class TestInstanceConstruction:
             QcmInstance(inst.space, inst.points, broken, inst.provenance)
 
 
+    @pytest.mark.parametrize("pair", [("0", "0"), ("1", "0"), ("3/2", "1/2")])
+    def test_generator_table_with_one_wrong_entry_rejected(self, pair):
+        inst = build_example4(rational_grid(0, 2, "1/2"), "1/3")
+        table = {(r, s): v for r, s, v in inst.entries()}
+        assert QcmInstance(inst.space, inst.points, table, inst.provenance).table_equal(inst)
+        table[pair] = table[pair] + Vec.of(0, "1/7")
+        with pytest.raises(ValueError, match=rf"d\({pair[0]!r}, {pair[1]!r}\) = .* generator"):
+            QcmInstance(inst.space, inst.points, table, inst.provenance)
+
+
 class TestEntriesReadOnDemand:
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -105,6 +115,27 @@ class TestEntriesReadOnDemand:
         evaluations.clear()
         canonical_witness(inst, "50")
         assert 0 < len(evaluations) <= inst.size
+
+    def test_every_read_evaluates_the_closed_form(self, evaluations):
+        inst = build_example4(rational_grid(0, 4, 1), "1/2")
+        first = inst.distance("3", "1")
+        assert inst.distance("3", "1") == first
+        assert evaluations == [(3, 1), (3, 1)]
+
+    def test_checked_generator_table_is_dropped(self, evaluations):
+        inst = build_example4(rational_grid(0, 2, 1), 2)
+        table = {(r, s): v for r, s, v in inst.entries()}
+        checked = QcmInstance(inst.space, inst.points, table, inst.provenance)
+        evaluations.clear()
+        checked.distance("2", "0")
+        assert evaluations == [(2, 0)]
+
+    def test_transpose_matches_explicit_copy(self):
+        inst = build_example4(rational_grid(-2, 2, "1/2"), "3/2")
+        explicit = QcmInstance(inst.space, inst.points, {(r, s): v for r, s, v in inst.entries()})
+        swapped = transpose(inst)
+        assert swapped.table_equal(transpose(explicit))
+        assert all(swapped.distance(s, r) == v for r, s, v in inst.entries())
 
     def test_verify_matches_explicit_copy(self):
         inst = build_example4(rational_grid(-5, 5, "1/2"), "3/2")
