@@ -5,14 +5,19 @@ strings; binary floats are rejected). One file describes one instance:
 the ordered space, the labeled points, the metric (an explicit table or
 one of the closed-form generators), plus optional queries and an
 optional embedding for the linear-independence census. An explicit
-table is validated in full here, literal by literal, and its entries are
-converted only when the instance reads them.
+table is validated in full here, and its entries are converted only when
+the instance reads them. A table whose every literal is a plain string
+(``cones.PLAIN_LITERAL``) is accepted by a few whole-table passes that
+check each distinct literal once; any other table goes entry by entry,
+which converts literals that are not plain and names the first bad field.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .approximation import ApproximationResult, FORWARD, Query
@@ -84,6 +89,38 @@ def _literals(value, where: str, dimension: int) -> tuple:
     return coords
 
 
+_from, _to, _value = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _plain_table(entries: list, known: set, dimension: int) -> dict | None:
+    """The table of ``entries`` when every entry is a list ``[from, to,
+    vector]`` of two labels in ``known`` and a list of ``dimension`` plain
+    literals, with no pair repeated; otherwise None, and the caller goes
+    entry by entry. Each check is one pass over the whole table, and each
+    distinct literal is matched once. No per-entry iterator is made: one
+    per entry (``zip(*entries)``) set off a full garbage collection while
+    loading a 14,400-entry table."""
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
+        return None
+    values = list(map(_value, entries))
+    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {dimension}):
+        return None
+    try:
+        if not (
+            known.issuperset(map(_from, entries))
+            and known.issuperset(map(_to, entries))
+            # a dict, not a set: it visits the literals in the order they were
+            # decoded, so in memory order; a set's hash order made the matches
+            # on a table of all-distinct literals about twice as slow
+            and all(map(_plain, dict.fromkeys(chain.from_iterable(values))))
+        ):
+            return None
+    except TypeError:  # an unhashable label or literal, or a literal that is not a string
+        return None
+    table = dict(zip(zip(map(_from, entries), map(_to, entries)), map(tuple, values)))
+    return table if len(table) == len(entries) else None
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise _fail(where, f"missing required field {key!r}")
@@ -138,6 +175,14 @@ def _parse_points(doc, where: str = "points") -> list[tuple[Label, Fraction | No
 
 
 def parse_instance(doc: dict) -> LoadedInstance:
+    """The instance, queries and embedding of a decoded instance file.
+
+    A bad field raises ``InstanceFileError`` naming it, and a query label
+    that is not a point raises ``UnknownLabel``. An explicit table is
+    checked in whole-table passes (``_plain_table``) when its literals are
+    all plain strings; otherwise, or when those passes reject it, entry by
+    entry, which names the first bad field. The instance keeps tuples
+    copied out of ``doc``, never its lists."""
     if not isinstance(doc, dict):
         raise InstanceFileError("top level: expected a JSON object")
     points = _parse_points(_require(doc, "points", "top level"))
@@ -183,19 +228,21 @@ def parse_instance(doc: dict) -> LoadedInstance:
         if not isinstance(entries_doc, list):
             raise _fail("metric.entries", "expected an array of [from, to, vector] triples")
         known = set(labels)
-        table = {}
-        for i, entry in enumerate(entries_doc):
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise _fail(f"metric.entries[{i}]", "expected [from, to, vector]")
-            src, dst, value = entry
-            if not (isinstance(src, str) and isinstance(dst, str)):
-                raise _fail(f"metric.entries[{i}]", "from/to must be label strings")
-            if src not in known or dst not in known:
-                label = dst if src in known else src
-                raise _fail(f"metric.entries[{i}]", f"label {label!r} is not in 'points'")
-            if (src, dst) in table:
-                raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
-            table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", space.dimension)
+        table = _plain_table(entries_doc, known, space.dimension)
+        if table is None:  # name the first bad field, or convert literals that are not plain
+            table = {}
+            for i, entry in enumerate(entries_doc):
+                if not (isinstance(entry, list) and len(entry) == 3):
+                    raise _fail(f"metric.entries[{i}]", "expected [from, to, vector]")
+                src, dst, value = entry
+                if not (isinstance(src, str) and isinstance(dst, str)):
+                    raise _fail(f"metric.entries[{i}]", "from/to must be label strings")
+                if src not in known or dst not in known:
+                    label = dst if src in known else src
+                    raise _fail(f"metric.entries[{i}]", f"label {label!r} is not in 'points'")
+                if (src, dst) in table:
+                    raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
+                table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", space.dimension)
         try:
             instance = QcmInstance._on_read(space, labels, literals=table)
         except ValueError as exc:  # the table is not total

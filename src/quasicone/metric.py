@@ -70,9 +70,11 @@ class QcmInstance:
     reader. A table passed to the constructor is the whole store; with a
     generator provenance it is instead checked against the closed form
     entry by entry and dropped, and the reader evaluates the closed form
-    on every read. A table that the file parser built keeps its validated
-    literals; the reader converts an entry on its first read and keeps the
-    ``Vec`` in the store. Threads that first read one entry at the same
+    on every read; a provenance with an unknown kind, a missing or
+    nonpositive alpha, or a missing or non-rational coordinate raises a
+    ``ValueError`` that names the field. A table that the file parser
+    built keeps its validated literals; the reader converts an entry on
+    its first read and keeps the ``Vec`` in the store. Threads that first read one entry at the same
     time may each convert it; they keep equal values.
     """
 
@@ -99,7 +101,7 @@ class QcmInstance:
                 store[(r, s)] = value
         read = None
         if provenance.kind != EXPLICIT_TABLE:
-            read = _closed_form(provenance)
+            read = _closed_form(provenance, points)
             for (r, s), value in store.items():
                 if value != read(r, s):
                     raise ValueError(
@@ -123,7 +125,7 @@ class QcmInstance:
         points = _ground_set(points)
         store: dict[tuple[Label, Label], Vec] = {}
         if literals is None:
-            read = _closed_form(provenance)
+            read = _closed_form(provenance, points)
         elif len(literals) != len(points) ** 2:
             r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
             raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
@@ -196,13 +198,36 @@ class QcmInstance:
 # Closed-form generators
 # ---------------------------------------------------------------------------
 
-def _closed_form(provenance: Provenance) -> Callable[[Label, Label], Vec]:
+def _is_rational(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _closed_form(
+    provenance: Provenance, points: Sequence[Label]
+) -> Callable[[Label, Label], Vec]:
     """The reader of a generator provenance: its closed form at the two
-    points' coordinates."""
+    points' coordinates. A provenance that cannot give every entry over
+    ``points`` raises a ``ValueError`` that names its field."""
+    kind, alpha = provenance.kind, provenance.alpha
+    if kind not in (DIRECTION_METRIC, ALPHA_METRIC):
+        raise ValueError(
+            f"provenance.kind: unknown kind {kind!r}; expected {EXPLICIT_TABLE!r}, "
+            f"{DIRECTION_METRIC!r} or {ALPHA_METRIC!r}"
+        )
+    if kind == ALPHA_METRIC and not (_is_rational(alpha) and alpha > 0):
+        raise ValueError(f"provenance.alpha: {kind!r} needs a positive rational, got {alpha!r}")
     coords = provenance.coordinate_map()
-    if provenance.kind == DIRECTION_METRIC:
+    missing = [label for label in points if label not in coords]
+    if missing:
+        raise ValueError(f"provenance.coordinates: no coordinate for points {missing}")
+    bad = next((label for label in points if not _is_rational(coords[label])), None)
+    if bad is not None:
+        raise ValueError(
+            f"provenance.coordinates: the coordinate of {bad!r} is not an int or a "
+            f"Fraction: {coords[bad]!r}"
+        )
+    if kind == DIRECTION_METRIC:
         return lambda r, s: direction_distance(coords[r], coords[s])
-    alpha = provenance.alpha
     return lambda r, s: alpha_distance(coords[r], coords[s], alpha)
 
 

@@ -4,9 +4,10 @@ import json
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
@@ -34,7 +35,7 @@ from quasicone import (
     verify_axioms,
     witness_json,
 )
-from quasicone import metric
+from quasicone import files, metric
 from quasicone.cones import PLAIN_LITERAL, plain_value
 from quasicone.files import _literals, parse_space, space_json
 
@@ -459,6 +460,117 @@ class TestTableReadOnDemand:
         assert instance.distance("a", "b") == Vec.of(3, "1/2")
         assert instance.distance("b", "a") == Vec.of(0, "-1/2")
         assert all(type(c) is Fraction for _, _, v in instance.entries() for c in v)
+
+
+def entry_by_entry(entries, known, dimension):
+    """The table branch of ``parse_instance`` as it stood before the
+    whole-table passes: one entry at a time, raising on the first bad field.
+    Kept as the reference the passes are held to."""
+    table = {}
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InstanceFileError(f"metric.entries[{i}]: expected [from, to, vector]")
+        src, dst, value = entry
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise InstanceFileError(f"metric.entries[{i}]: from/to must be label strings")
+        if src not in known or dst not in known:
+            label = dst if src in known else src
+            raise InstanceFileError(f"metric.entries[{i}]: label {label!r} is not in 'points'")
+        if (src, dst) in table:
+            raise InstanceFileError(f"metric.entries[{i}]: repeats the entry for ({src!r}, {dst!r})")
+        table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", dimension)
+    return table
+
+
+plain_literals = st.integers(-20, 20).map(str) | st.fractions(-5, 5, max_denominator=4).map(
+    lambda f: f"{f.numerator}/{f.denominator}"
+)
+# plain literals, "2/4" (plain, not in lowest terms) and what the per-entry
+# loop converts or rejects: ints, padding, a zero denominator, a run past
+# the digit limit, a decimal, null, and values that are not scalars
+table_literals = plain_literals | st.integers(-3, 3) | st.sampled_from(
+    [" 1", "2/4", "1/0", "9" * 4301, "1.5", None]
+) | st.lists(st.just("1"), max_size=2) | st.dictionaries(st.just("p"), st.just("1"), max_size=1)
+TABLE_DEFECTS = ["repeat", "unknown-label", "drop", "arity", "shape", "order"]
+
+
+@st.composite
+def table_documents(draw):
+    """A table document over random labels in dimension 1 to 3: half of them
+    hold plain literals only, the rest any literal, and some carry defects."""
+    dimension = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    literal = draw(st.sampled_from([plain_literals, table_literals]))
+    vector = st.lists(literal, min_size=dimension, max_size=dimension)
+    entries = [[r, s, draw(vector)] for r in labels for s in labels]
+    label = st.sampled_from(labels)
+    for defect in draw(st.lists(st.sampled_from(TABLE_DEFECTS), max_size=2)):
+        if defect == "order":
+            entries = draw(st.permutations(entries))
+            continue
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        if defect == "repeat":
+            entries.insert(i, copy.deepcopy(draw(st.sampled_from(entries))))
+        elif defect == "unknown-label":
+            ghost = draw(st.text(max_size=3).filter(lambda text: text not in labels))
+            pair = draw(st.permutations([ghost, draw(label)]))
+            entries[i] = [*pair, draw(vector)]
+        elif defect == "drop":
+            del entries[i]
+        elif defect == "arity":
+            entries[i] = [draw(label), draw(label), draw(st.lists(literal, max_size=4))]
+        else:
+            entries[i] = draw(st.sampled_from(
+                [[labels[0]], {"from": labels[0]}, None, [1, labels[0], ["0"] * dimension], "a"]
+            ))
+    return {
+        "space": {"dimension": dimension,
+                  "rows": [["1" if j == k else "0" for k in range(dimension)] for j in range(dimension)]},
+        "points": labels,
+        "metric": {"kind": "table", "entries": entries},
+    }
+
+
+class TestWholeTablePasses:
+    @settings(max_examples=300, deadline=None)
+    @given(table_documents())
+    def test_same_outcome_as_entry_by_entry(self, doc):
+        def outcome():
+            try:
+                loaded = parse_instance(copy.deepcopy(doc))
+            except (InstanceFileError, UnknownLabel) as exc:
+                return type(exc), str(exc)
+            return list(loaded.instance.entries())
+
+        passes = outcome()
+        with mock.patch.object(files, "_plain_table", entry_by_entry):
+            assert outcome() == passes
+
+        # the passes accept exactly the tables the loop keeps as plain strings
+        entries, dimension = doc["metric"]["entries"], doc["space"]["dimension"]
+        try:
+            expected = entry_by_entry(entries, set(doc["points"]), dimension)
+        except InstanceFileError:
+            expected = None
+        table = files._plain_table(entries, set(doc["points"]), dimension)
+        event("accepted by the passes" if table is not None else "sent entry by entry")
+        assert table == (
+            expected
+            if expected is not None and all(type(c) is str for v in expected.values() for c in v)
+            else None
+        )
+
+    def test_kept_values_are_copies(self):
+        doc = json.loads(json.dumps(TABLE_DOC))
+        instance = parse_instance(doc).instance
+        for entry in doc["metric"]["entries"]:
+            entry[2][0] = "7"
+            entry[2].append("8")
+        assert [instance.distance(r, s) for r, s, _ in TABLE_DOC["metric"]["entries"]] == [
+            Vec.of(0, 0), Vec.of(1, "1/2"), Vec.of(2, 0), Vec.of(0, 0)
+        ]
 
 
 class TestWitnessFiles:

@@ -1,4 +1,5 @@
 """Instance builders, exhaustive axiom verification, and transposition."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,25 @@ class TestInstanceConstruction:
         with pytest.raises(ValueError, match="generator"):
             QcmInstance(inst.space, inst.points, broken, inst.provenance)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (dict(coordinates=(("0", Fraction(0)),)),
+             r"^provenance\.coordinates: no coordinate for points \['1'\]$"),
+            (dict(kind="nonsense"), r"^provenance\.kind: unknown kind 'nonsense'"),
+            (dict(alpha=None), r"^provenance\.alpha: 'example4-alpha-metric' needs a positive rational, got None$"),
+            (dict(alpha=Fraction(0)), r"^provenance\.alpha: .* got Fraction\(0, 1\)$"),
+            (dict(coordinates=(("0", "0"), ("1", "1"))),
+             r"^provenance\.coordinates: the coordinate of '0' is not an int or a Fraction: '0'$"),
+        ],
+        ids=["missing-coordinate", "unknown-kind", "alpha-none", "alpha-zero", "string-coordinate"],
+    )
+    def test_bad_generator_provenance_names_its_field(self, change, message):
+        inst = build_example4([("0", 0), ("1", 1)], 2)
+        table = {(r, s): v for r, s, v in inst.entries()}
+        provenance = dataclasses.replace(inst.provenance, **change)
+        with pytest.raises(ValueError, match=message):
+            QcmInstance(inst.space, inst.points, table, provenance)
 
     @pytest.mark.parametrize("pair", [("0", "0"), ("1", "0"), ("3/2", "1/2")])
     def test_generator_table_with_one_wrong_entry_rejected(self, pair):
