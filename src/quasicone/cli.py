@@ -379,8 +379,9 @@ def classify_cmd(path, direction, pseudo, out, pretty):
     """Classify the candidate set over the file's query family.
 
     The family is taken from the file's queries (which must share one
-    candidate set); without queries, every ground-set point is both a
-    query and a candidate. Exit code 5 when the set is not Chebyshev.
+    candidate set, and one direction unless --direction is given); without
+    queries, every ground-set point is both a query and a candidate. Exit
+    code 5 when the set is not Chebyshev.
     """
 
     def body():
@@ -392,10 +393,19 @@ def classify_cmd(path, direction, pseudo, out, pretty):
                     EXIT_SEMANTIC,
                     "classification needs a single shared candidate set across queries",
                 )
+            first = loaded.queries[0].direction
+            i = next((i for i, q in enumerate(loaded.queries) if q.direction != first), None)
+            if direction is None and i is not None:
+                raise _Failure(
+                    EXIT_SEMANTIC,
+                    f"queries[{i}].direction: {loaded.queries[i].direction!r} differs from "
+                    f"queries[0].direction {first!r}; classification needs a single "
+                    "direction across queries (or --direction)",
+                )
             family = QueryFamily(
                 tuple(q.q for q in loaded.queries),
                 next(iter(candidate_sets)),
-                direction or loaded.queries[0].direction,
+                direction or first,
             )
         else:
             family = QueryFamily(

@@ -22,14 +22,17 @@ from pathlib import Path
 
 from .approximation import ApproximationResult, FORWARD, Query
 from .chebyshev import ChebyshevReport
-from .cones import PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational
-from .errors import InstanceFileError, NotARational, UnknownLabel
+from .cones import (
+    PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational, plain_value,
+)
+from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
 from .metric import (
     ALPHA_METRIC,
     DIRECTION_METRIC,
     EXPLICIT_TABLE,
     Label,
     QcmInstance,
+    _first_repeat,
     build_example3,
     build_example4,
 )
@@ -57,24 +60,15 @@ def _rational(value, where: str) -> Fraction:
         raise _fail(where, str(exc)) from None
 
 
-def _vec(value, where: str, dimension: int | None = None) -> Vec:
-    if not isinstance(value, list):
-        raise _fail(where, f"expected an array of rational literals, got {type(value).__name__}")
-    coords = tuple(_rational(c, f"{where}[{i}]") for i, c in enumerate(value))
-    if dimension is not None and len(coords) != dimension:
-        raise _fail(where, f"expected {dimension} coordinates, got {len(coords)}")
-    return Vec(coords)
-
-
 _plain = PLAIN_LITERAL.fullmatch
 
 
-def _literals(value, where: str, dimension: int) -> tuple:
-    """A table entry's vector as the instance keeps it until it is read:
-    each literal that ``PLAIN_LITERAL`` accepts as it is, anything else
-    converted or rejected by ``_rational``."""
+def _literals(value, where: str, dimension: int | None) -> tuple:
+    """A file vector as a table keeps it until it is read: each literal
+    that ``PLAIN_LITERAL`` accepts as it is, anything else converted or
+    rejected by ``_rational``. A ``dimension`` of None accepts any length."""
     try:
-        if isinstance(value, list) and len(value) == dimension and all(map(_plain, value)):
+        if isinstance(value, list) and dimension in (None, len(value)) and all(map(_plain, value)):
             return tuple(value)
     except TypeError:  # a coordinate that is not a string; see below
         pass
@@ -84,9 +78,13 @@ def _literals(value, where: str, dimension: int) -> tuple:
         c if isinstance(c, str) and _plain(c) else _rational(c, f"{where}[{i}]")
         for i, c in enumerate(value)
     )
-    if len(coords) != dimension:
+    if dimension not in (None, len(coords)):
         raise _fail(where, f"expected {dimension} coordinates, got {len(coords)}")
     return coords
+
+
+def _vec(value, where: str, dimension: int | None = None) -> Vec:
+    return Vec._trusted(tuple(map(plain_value, _literals(value, where, dimension))))
 
 
 _from, _to, _value = itemgetter(0), itemgetter(1), itemgetter(2)
@@ -209,19 +207,13 @@ def parse_instance(doc: dict) -> LoadedInstance:
                 )
         if kind == "example4":
             alpha = _rational(_require(metric, "alpha", "metric"), "metric.alpha")
-            if alpha <= 0:
-                raise _fail("metric.alpha", f"alpha must be positive, got {format_rational(alpha)}")
-        by_value = {}
-        for i, (label, coord) in enumerate(points):
-            if coord in by_value:
-                raise _fail(
-                    f"points[{i}].coordinate",
-                    f"points {by_value[coord]!r} and {label!r} share coordinate "
-                    f"{format_rational(coord)}; distinct points at equal coordinates "
-                    "would get distance zero",
-                )
-            by_value[coord] = label
-        instance = build_example3(points) if kind == "example3" else build_example4(points, alpha)
+        try:
+            instance = build_example3(points) if kind == "example3" else build_example4(points, alpha)
+        except DuplicateLabel as exc:  # labels are distinct here, so two points share a coordinate
+            i = _first_repeat([coord for _, coord in points])
+            raise _fail(f"points[{i}].coordinate", str(exc)) from None
+        except ValueError as exc:
+            raise _fail("metric.alpha", str(exc)) from None
     elif kind == "table":
         space = parse_space(_require(doc, "space", "top level"))
         entries_doc = _require(metric, "entries", "metric")
@@ -276,7 +268,7 @@ def parse_instance(doc: dict) -> LoadedInstance:
         try:
             queries.append(Query(q, frozenset(candidates), direction))
         except ValueError as exc:
-            raise _fail(spot, str(exc)) from None
+            raise _fail(f"{spot}.direction" if candidates else f"{spot}.candidates", str(exc)) from None
 
     embedding = None
     if "embedding" in doc:
@@ -286,7 +278,10 @@ def parse_instance(doc: dict) -> LoadedInstance:
         embedding = {}
         dimension = None  # the first vector fixes the dimension for the rest
         for label, value in emb_doc.items():
-            embedding[label] = _vec(value, f"embedding[{label!r}]", dimension)
+            spot = f"embedding[{label!r}]"
+            if not instance.has_point(label):
+                raise _fail(spot, f"label {label!r} is not in 'points'")
+            embedding[label] = _vec(value, spot, dimension)
             dimension = embedding[label].dimension
     return LoadedInstance(instance, queries, embedding)
 

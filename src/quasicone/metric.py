@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cones import OrderedSpace, RationalLike, Vec, as_rational, plain_value, project
+from .cones import OrderedSpace, RationalLike, Vec, as_rational, format_rational, plain_value, project
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
 from .reports import AxiomCheck, AxiomReport
 
@@ -51,14 +51,21 @@ class Provenance:
 _EXPLICIT = Provenance(EXPLICIT_TABLE)
 
 
+def _first_repeat(items: Sequence) -> int | None:
+    """The index of the first item equal to an earlier one, or None."""
+    if len(set(items)) == len(items):
+        return None
+    seen = set()
+    return next(i for i, item in enumerate(items) if item in seen or seen.add(item))
+
+
 def _ground_set(labels: Iterable[Label]) -> tuple[Label, ...]:
     points = tuple(labels)
     if not points:
         raise ValueError("ground set must be nonempty")
-    if len(set(points)) != len(points):
-        seen = set()
-        dup = next(p for p in points if p in seen or seen.add(p))
-        raise DuplicateLabel(f"duplicate point label {dup!r}")
+    i = _first_repeat(points)
+    if i is not None:
+        raise DuplicateLabel(f"duplicate point label {points[i]!r}")
     return points
 
 
@@ -72,7 +79,8 @@ class QcmInstance:
     entry by entry and dropped, and the reader evaluates the closed form
     on every read; a provenance with an unknown kind, a missing or
     nonpositive alpha, or a missing or non-rational coordinate raises a
-    ``ValueError`` that names the field. A table that the file parser
+    ``ValueError`` that names the field, and one that puts two points at
+    one coordinate raises ``DuplicateLabel``. A table that the file parser
     built keeps its validated literals; the reader converts an entry on
     its first read and keeps the ``Vec`` in the store. Threads that first read one entry at the same
     time may each convert it; they keep equal values.
@@ -207,7 +215,9 @@ def _closed_form(
 ) -> Callable[[Label, Label], Vec]:
     """The reader of a generator provenance: its closed form at the two
     points' coordinates. A provenance that cannot give every entry over
-    ``points`` raises a ``ValueError`` that names its field."""
+    ``points`` raises a ``ValueError`` that names its field, and the first
+    point (in the order of ``points``) at the coordinate of an earlier one
+    a ``DuplicateLabel``. The builders and the file parser rely on this."""
     kind, alpha = provenance.kind, provenance.alpha
     if kind not in (DIRECTION_METRIC, ALPHA_METRIC):
         raise ValueError(
@@ -225,6 +235,14 @@ def _closed_form(
         raise ValueError(
             f"provenance.coordinates: the coordinate of {bad!r} is not an int or a "
             f"Fraction: {coords[bad]!r}"
+        )
+    values = [coords[label] for label in points]
+    i = _first_repeat(values)
+    if i is not None:
+        raise DuplicateLabel(
+            f"points {points[values.index(values[i])]!r} and {points[i]!r} share coordinate "
+            f"{format_rational(values[i])}; distinct points at equal coordinates would get "
+            "distance zero"
         )
     if kind == DIRECTION_METRIC:
         return lambda r, s: direction_distance(coords[r], coords[s])
@@ -251,44 +269,26 @@ def alpha_distance(r: Fraction, s: Fraction, alpha: Fraction) -> Vec:
     return Vec.of(alpha, 1)
 
 
-def _coordinate_points(
-    points: Sequence[tuple[Label, RationalLike]]
-) -> tuple[tuple[Label, ...], dict[Label, Fraction]]:
-    labels = _ground_set(label for label, _ in points)
-    coords = {label: as_rational(c) for label, c in points}
-    by_value: dict[Fraction, Label] = {}
-    for label, value in coords.items():
-        if value in by_value:
-            raise DuplicateLabel(
-                f"points {by_value[value]!r} and {label!r} share coordinate "
-                f"{value}; distinct points at equal coordinates would get "
-                "distance zero"
-            )
-        by_value[value] = label
-    return labels, coords
-
-
 def build_example3(points: Sequence[tuple[Label, RationalLike]]) -> QcmInstance:
-    """Instance of the direction metric over Q^2 with the orthant cone."""
-    labels, coords = _coordinate_points(points)
-    provenance = Provenance(
-        DIRECTION_METRIC, coordinates=tuple(sorted(coords.items()))
-    )
-    return QcmInstance._on_read(OrderedSpace.orthant(2), labels, provenance)
+    """Instance of the direction metric over Q^2 with the orthant cone.
+    A repeated label or coordinate raises ``DuplicateLabel``."""
+    coordinates = tuple(sorted((label, as_rational(c)) for label, c in points))
+    provenance = Provenance(DIRECTION_METRIC, coordinates=coordinates)
+    return QcmInstance._on_read(OrderedSpace.orthant(2), [label for label, _ in points], provenance)
 
 
 def build_example4(
     points: Sequence[tuple[Label, RationalLike]], alpha: RationalLike
 ) -> QcmInstance:
-    """Instance of the slack metric over Q^2 with the orthant cone."""
+    """Instance of the slack metric over Q^2 with the orthant cone. A
+    repeated label or coordinate raises ``DuplicateLabel``, and a
+    nonpositive alpha a ``ValueError``."""
     alpha = as_rational(alpha)
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    labels, coords = _coordinate_points(points)
-    provenance = Provenance(
-        ALPHA_METRIC, alpha=alpha, coordinates=tuple(sorted(coords.items()))
-    )
-    return QcmInstance._on_read(OrderedSpace.orthant(2), labels, provenance)
+        raise ValueError(f"alpha must be positive, got {format_rational(alpha)}")
+    coordinates = tuple(sorted((label, as_rational(c)) for label, c in points))
+    provenance = Provenance(ALPHA_METRIC, alpha=alpha, coordinates=coordinates)
+    return QcmInstance._on_read(OrderedSpace.orthant(2), [label for label, _ in points], provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,22 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "embedding['b']" in result.stderr
 
+    def test_classify_mixed_directions_is_3(self, slack_file):
+        doc = json.loads(slack_file.read_text())
+        second = dict(doc["queries"][0], q="0", direction="backward")
+        doc["queries"].append(second)
+        slack_file.write_text(json.dumps(doc))
+        result = run("classify", slack_file)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "error: queries[1].direction: 'backward' differs from" in result.stderr
+        # --direction still overrides every query
+        result = run("classify", slack_file, "--direction", "forward")
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.stdout)
+        assert out["direction"] == "forward"
+        assert out["queries"] == ["5", "0"]
+
     def test_axiom_failure_is_4(self, broken_metric_file):
         result = run("verify", broken_metric_file)
         assert result.exit_code == 4

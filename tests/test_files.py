@@ -203,6 +203,12 @@ class TestParseInstance:
             (lambda d: d.update(points=[*EXAMPLE4_DOC["points"], {"label": "x", "coordinate": "2/4"}],
                                 metric=EXAMPLE4_DOC["metric"]),
              r"^points\[2\]\.coordinate: points '1/2' and 'x' share coordinate 1/2;"),
+            (lambda d: d["embedding"].__setitem__("ghost", ["1", "1"]),
+             r"^embedding\['ghost'\]: label 'ghost' is not in 'points'$"),
+            (lambda d: d["queries"][0].__setitem__("direction", "sideways"),
+             r"^queries\[0\]\.direction: direction must be one of .*, got 'sideways'$"),
+            (lambda d: d["queries"][0].__setitem__("candidates", []),
+             r"^queries\[0\]\.candidates: candidate set must be nonempty$"),
         ],
     )
     def test_field_precise_errors(self, mutate, fragment):

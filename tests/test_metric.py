@@ -34,8 +34,11 @@ class TestDirectionMetric:
             build_example3([("a", 1), ("a", 2)])
 
     def test_duplicate_coordinates_rejected(self):
-        with pytest.raises(DuplicateLabel):
-            build_example3([("a", 1), ("b", 1)])
+        with pytest.raises(DuplicateLabel, match=(
+            r"^points 'a' and 'c' share coordinate 1; distinct points at equal "
+            r"coordinates would get distance zero$"
+        )):
+            build_example3([("a", 1), ("b", 2), ("c", "2/2")])
 
 
 class TestAlphaMetric:
@@ -52,7 +55,7 @@ class TestAlphaMetric:
 
     @pytest.mark.parametrize("alpha", [0, -1, "-2/3"])
     def test_nonpositive_alpha_rejected(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^alpha must be positive, got {alpha}$"):
             build_example4([("0", 0), ("1", 1)], alpha)
 
 
@@ -100,6 +103,19 @@ class TestInstanceConstruction:
         table = {(r, s): v for r, s, v in inst.entries()}
         provenance = dataclasses.replace(inst.provenance, **change)
         with pytest.raises(ValueError, match=message):
+            QcmInstance(inst.space, inst.points, table, provenance)
+
+    @pytest.mark.parametrize("build", [build_example3, lambda points: build_example4(points, 2)],
+                             ids=["example3", "example4"])
+    def test_generator_provenance_with_shared_coordinate_rejected(self, build):
+        # the all-zero table is what the closed form gives at one coordinate,
+        # so only the coordinate check stands between it and a QCM2 failure
+        inst = build([("0", 0), ("1", 1)])
+        table = {(r, s): Vec.zero(2) for r in inst.points for s in inst.points}
+        provenance = dataclasses.replace(
+            inst.provenance, coordinates=(("0", Fraction(1)), ("1", Fraction(1)))
+        )
+        with pytest.raises(DuplicateLabel, match=r"^points '0' and '1' share coordinate 1; "):
             QcmInstance(inst.space, inst.points, table, provenance)
 
     @pytest.mark.parametrize("pair", [("0", "0"), ("1", "0"), ("3/2", "1/2")])
