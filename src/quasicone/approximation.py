@@ -24,33 +24,20 @@ from typing import Iterable
 
 from .cones import OrderedSpace, Vec, project
 from .errors import DimensionMismatch
-from .metric import Label, QcmInstance, transpose
-
-FORWARD = "forward"
-BACKWARD = "backward"
-DIRECTIONS = (FORWARD, BACKWARD)
+from .metric import (  # Query and its directions are re-exported from here
+    BACKWARD,
+    DIRECTIONS,
+    FORWARD,
+    Label,
+    QcmInstance,
+    Query,
+    directed_distance,
+    transpose,
+)
 
 
 class MinimalFrontFallback(UserWarning):
     """The staircase-sweep front fell back to the pairwise scan."""
-
-
-@dataclass(frozen=True)
-class Query:
-    """A target point, a nonempty candidate set, and a direction."""
-
-    q: Label
-    candidates: frozenset[Label]
-    direction: str = FORWARD
-
-    def __post_init__(self):
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -68,17 +55,6 @@ class ApproximationResult:
     common_distance: Vec | None
     minimal_front: frozenset[Label]
     stats: DominanceStats
-
-
-def directed_distance(
-    instance: QcmInstance, q: Label, h: Label, direction: str
-) -> Vec:
-    """d(q, h) for forward queries, d(h, q) for backward ones."""
-    if direction == FORWARD:
-        return instance.distance(q, h)
-    if direction == BACKWARD:
-        return instance.distance(h, q)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _best_indices(

@@ -12,12 +12,15 @@ ambient space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .approximation import DIRECTIONS, FORWARD, Query, _best_indices
+from .approximation import _best_indices
 from .cones import Vec, exact_rank
 from .errors import EmbeddingRequired
-from .metric import Label, QcmInstance
-from .witnesses import WitnessTable, canonical_witness, verify_witness_for_set
+from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query
+
+if TYPE_CHECKING:
+    from .witnesses import WitnessTable
 
 FINITE_SCALE_SEMANTICS = (
     "finite-instance semantics: compactness of a best set fails only by "
@@ -136,6 +139,8 @@ def counterexample_to_theorem_form(
     when one shared table certifies two distinct members. Returns an
     empty list for a report without multiplicity counterexamples.
     """
+    from .witnesses import canonical_witness, verify_witness_for_set
+
     packaged = []
     for q, h1, h2 in report.chebyshev_counterexamples:
         witness = canonical_witness(instance, q, report.family.direction)

@@ -8,6 +8,11 @@ Exit codes: 0 success, 2 file parse error, 3 semantic error (unknown
 labels, missing embedding, bad selectors, oversized grids, an option the
 command or mode does not use), 4 axiom failure, 5 verdict failure (a
 witness check or classification that does not hold).
+
+Each run is a fresh interpreter, so the module level imports only what
+every command needs to read an instance file (``errors``, ``files`` and
+``metric``), and each command imports the rest of what it runs in its
+body.
 """
 from __future__ import annotations
 
@@ -19,9 +24,6 @@ from pathlib import Path
 
 import click
 
-from .approximation import FORWARD, BACKWARD, Query, best_approximation_set
-from .chebyshev import QueryFamily, classify as classify_family
-from .cones import as_rational, check_cone_axioms, format_rational
 from .errors import InstanceFileError, NotARational, UnknownLabel
 from .files import (
     LoadedInstance,
@@ -32,16 +34,9 @@ from .files import (
     load_instance_file,
     load_witness_file,
     verdict_json,
-    vec_json,
     witness_json,
 )
-from .metric import build_example3, build_example4, verify_axioms
-from .witnesses import (
-    WitnessVerdict,
-    _certified,
-    canonical_witness,
-    verify_witness_for_set,
-)
+from .metric import BACKWARD, FORWARD, Query, build_example3, build_example4, verify_axioms
 
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
@@ -167,6 +162,8 @@ def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
 
     def body():
+        from .cones import check_cone_axioms
+
         loaded = load_instance_file(path)
         instance = loaded.instance
         cone_report = check_cone_axioms(instance.space.cone)
@@ -221,6 +218,8 @@ def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
 
     def body():
+        from .approximation import best_approximation_set
+
         loaded = load_instance_file(path)
         queries = _select_queries(loaded, selector, direction)
         results = [
@@ -283,6 +282,13 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     """
 
     def body():
+        from .witnesses import (
+            WitnessVerdict,
+            _certified,
+            canonical_witness,
+            verify_witness_for_set,
+        )
+
         if members and mode == "emit":
             raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
         if direction and mode == "check":
@@ -385,6 +391,8 @@ def classify_cmd(path, direction, pseudo, out, pretty):
     """
 
     def body():
+        from .chebyshev import QueryFamily, classify as classify_family
+
         loaded = load_instance_file(path)
         if loaded.queries:
             candidate_sets = {q.candidates for q in loaded.queries}
@@ -440,6 +448,8 @@ def classify_cmd(path, direction, pseudo, out, pretty):
 # ---------------------------------------------------------------------------
 
 def _parse_grid(spec: str) -> list[Fraction]:
+    from .cones import as_rational
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise _Failure(EXIT_SEMANTIC, f"grid spec must be start:stop:step, got {spec!r}")
@@ -476,6 +486,8 @@ def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
 
     def body():
+        from .cones import as_rational, format_rational
+
         if alpha is not None and name != "example4":
             raise _Failure(EXIT_SEMANTIC, f"--alpha applies to example4 only, not {name}")
         if direction is not None and beta is None:

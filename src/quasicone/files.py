@@ -19,9 +19,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .approximation import ApproximationResult, FORWARD, Query
-from .chebyshev import ChebyshevReport
 from .cones import (
     PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational, plain_value,
 )
@@ -30,14 +29,20 @@ from .metric import (
     ALPHA_METRIC,
     DIRECTION_METRIC,
     EXPLICIT_TABLE,
+    FORWARD,
     Label,
     QcmInstance,
+    Query,
     _first_repeat,
     build_example3,
     build_example4,
 )
-from .reports import AxiomReport
-from .witnesses import WitnessTable, WitnessVerdict
+
+if TYPE_CHECKING:  # result types, named in annotations only
+    from .approximation import ApproximationResult
+    from .chebyshev import ChebyshevReport
+    from .reports import AxiomReport
+    from .witnesses import WitnessTable, WitnessVerdict
 
 
 @dataclass
@@ -283,6 +288,8 @@ def parse_instance(doc: dict) -> LoadedInstance:
                 raise _fail(spot, f"label {label!r} is not in 'points'")
             embedding[label] = _vec(value, spot, dimension)
             dimension = embedding[label].dimension
+            if not dimension:
+                raise _fail(spot, "expected at least one coordinate")
     return LoadedInstance(instance, queries, embedding)
 
 
@@ -376,6 +383,8 @@ def witness_json(witness: WitnessTable) -> dict:
 
 
 def parse_witness(doc: dict) -> WitnessTable:
+    from .witnesses import WitnessTable
+
     if not isinstance(doc, dict):
         raise InstanceFileError("witness: expected a JSON object")
     q = _require(doc, "q", "witness")

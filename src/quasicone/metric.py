@@ -3,7 +3,9 @@
 An instance is a finite labeled ground set together with a total,
 cone-valued distance table. The distance need not be symmetric: d(r, s)
 and d(s, r) are independent entries, which is what makes the forward and
-backward problems genuinely different.
+backward problems genuinely different. A ``Query`` names a target
+point, a candidate set and a direction; ``directed_distance`` reads the
+entry a query compares, d(q, h) forward or d(h, q) backward.
 
 An instance answers d(r, s) from one store, a dict of the ``Vec``s it
 keeps, or else from one reader chosen when it is built. A table read
@@ -25,6 +27,10 @@ from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
 from .reports import AxiomCheck, AxiomReport
 
 Label = str
+
+FORWARD = "forward"
+BACKWARD = "backward"
+DIRECTIONS = (FORWARD, BACKWARD)
 
 EXPLICIT_TABLE = "explicit-table"
 DIRECTION_METRIC = "example3-direction-metric"
@@ -200,6 +206,35 @@ class QcmInstance:
             f"QcmInstance({len(self._points)} points, dim {self._space.dimension}, "
             f"{self._provenance.kind})"
         )
+
+
+@dataclass(frozen=True)
+class Query:
+    """A target point, a nonempty candidate set, and a direction."""
+
+    q: Label
+    candidates: frozenset[Label]
+    direction: str = FORWARD
+
+    def __post_init__(self):
+        object.__setattr__(self, "candidates", frozenset(self.candidates))
+        if not self.candidates:
+            raise ValueError("candidate set must be nonempty")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(
+                f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
+            )
+
+
+def directed_distance(
+    instance: QcmInstance, q: Label, h: Label, direction: str
+) -> Vec:
+    """d(q, h) for forward queries, d(h, q) for backward ones."""
+    if direction == FORWARD:
+        return instance.distance(q, h)
+    if direction == BACKWARD:
+        return instance.distance(h, q)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------

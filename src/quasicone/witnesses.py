@@ -22,17 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .approximation import (
-    BACKWARD,
-    DIRECTIONS,
-    FORWARD,
-    Query,
-    _best_indices,
-    directed_distance,
-)
 from .cones import Vec, project
 from .errors import DimensionMismatch
-from .metric import Label, QcmInstance
+from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, directed_distance
 
 ANCHOR_EQUALITY = "anchor-equality"
 SHIFT_NOT_IN_CONE = "f-shift-not-in-cone"
@@ -235,6 +227,8 @@ def search_counterexample_witness(
     the first pool table certifying two or more candidates; one table
     certifies a set exactly when it certifies each member.
     """
+    from .approximation import _best_indices
+
     candidates = frozenset(candidates)
     best_at = _best_indices(instance, Query(q, candidates, direction))[3]
     if len(best_at) < 2:

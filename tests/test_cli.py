@@ -286,6 +286,18 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "embedding['b']" in result.stderr
 
+    def test_empty_embedding_vectors_are_2(self, tmp_path):
+        path = tmp_path / "ex.json"
+        assert run("example", "example4", "--grid", "0:2:1", "--beta", "1",
+                   "--out", path).exit_code == 0
+        doc = json.loads(path.read_text())
+        doc["embedding"] = {p["label"]: [] for p in doc["points"]}
+        path.write_text(json.dumps(doc))
+        result = run("classify", path, "--pseudo")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "ex.json: embedding['0']: expected at least one coordinate" in result.stderr
+
     def test_classify_mixed_directions_is_3(self, slack_file):
         doc = json.loads(slack_file.read_text())
         second = dict(doc["queries"][0], q="0", direction="backward")

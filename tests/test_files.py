@@ -205,6 +205,8 @@ class TestParseInstance:
              r"^points\[2\]\.coordinate: points '1/2' and 'x' share coordinate 1/2;"),
             (lambda d: d["embedding"].__setitem__("ghost", ["1", "1"]),
              r"^embedding\['ghost'\]: label 'ghost' is not in 'points'$"),
+            (lambda d: d["embedding"].update(a=[], b=[]),
+             r"^embedding\['a'\]: expected at least one coordinate"),
             (lambda d: d["queries"][0].__setitem__("direction", "sideways"),
              r"^queries\[0\]\.direction: direction must be one of .*, got 'sideways'$"),
             (lambda d: d["queries"][0].__setitem__("candidates", []),
