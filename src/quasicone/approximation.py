@@ -121,8 +121,7 @@ def _pairwise_scan(points: list[tuple[int, ...]]) -> tuple[list[bool], int]:
     and copies are adjacent, so each point is tested once against every
     earlier point that is not a copy of it. Points with at most three
     coordinates, padded with leading zeros to three, need only their last
-    two compared. The sorted order is also where an O(n log n) count of
-    the comparable pairs would start.
+    two compared.
     """
     n = len(points)
     order = sorted(range(n), key=points.__getitem__)

@@ -284,7 +284,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     def body():
         from .witnesses import (
             WitnessVerdict,
-            _certified,
+            _Conditions,
             canonical_witness,
             verify_witness_for_set,
         )
@@ -322,7 +322,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
             )
             certified = sorted(members) if verdict.holds else []
         else:
-            certified = _certified(loaded.instance, table, candidates)
+            certified = _Conditions(loaded.instance, table, candidates).certified()
             verdict = WitnessVerdict(True) if certified else None
         doc = {
             "command": "witness",

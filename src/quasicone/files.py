@@ -26,7 +26,6 @@ from .cones import (
 )
 from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
 from .metric import (
-    ALPHA_METRIC,
     DIRECTION_METRIC,
     EXPLICIT_TABLE,
     FORWARD,
@@ -310,6 +309,8 @@ def _load(path: str | Path, parse):
         raise InstanceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # past the int-string or recursion limit
+        raise InstanceFileError(f"{path}: invalid JSON: {exc}") from None
     try:
         return parse(doc)
     except (InstanceFileError, UnknownLabel) as exc:
@@ -358,10 +359,8 @@ def instance_json(
         ]
         if provenance.kind == DIRECTION_METRIC:
             doc["metric"] = {"kind": "example3"}
-        elif provenance.kind == ALPHA_METRIC:
+        else:
             doc["metric"] = {"kind": "example4", "alpha": format_rational(provenance.alpha)}
-        else:  # pragma: no cover - exhaustive over provenance kinds
-            raise ValueError(f"unknown provenance kind {provenance.kind!r}")
     if queries:
         doc["queries"] = [
             {

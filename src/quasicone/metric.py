@@ -59,10 +59,8 @@ _EXPLICIT = Provenance(EXPLICIT_TABLE)
 
 def _first_repeat(items: Sequence) -> int | None:
     """The index of the first item equal to an earlier one, or None."""
-    if len(set(items)) == len(items):
-        return None
-    seen = set()
-    return next(i for i, item in enumerate(items) if item in seen or seen.add(item))
+    seen = set()  # hashes each item once: the set stops growing at the first repeat
+    return next((i for i, item in enumerate(items) if seen.add(item) or len(seen) == i), None)
 
 
 def _ground_set(labels: Iterable[Label]) -> tuple[Label, ...]:

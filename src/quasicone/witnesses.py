@@ -12,9 +12,13 @@ Membership in the best set is equivalent to the existence of such an f,
 and the canonical table f(x) = d(q, x) always realizes the forward
 implication, so verification against the canonical witness is a second,
 independent route to the best set (the backward direction mirrors with
-d(x, q)). For each table and candidate set, f and the distances are
-projected once through the cone rows, and every member is decided from
-that one projection by integer comparisons.
+d(x, q)): anchor and gap hold for every candidate, and shift holds
+exactly for the best ones.
+
+Every check of a table goes through one ``_Conditions`` object per table
+and candidate set. It validates the inputs, projects f and the distances
+once through the cone rows, and decides every member from that one
+projection by integer comparisons.
 """
 from __future__ import annotations
 
@@ -83,21 +87,6 @@ def canonical_witness(instance: QcmInstance, q: Label, direction: str = FORWARD)
     return WitnessTable(q, direction, table)
 
 
-def _validate(instance: QcmInstance, witness: WitnessTable, candidates: Iterable[Label]) -> list[Label]:
-    instance.require_points([witness.q])
-    candidates = sorted(set(candidates))
-    instance.require_points(candidates)
-    for x in instance.points:
-        if x not in witness.f:
-            raise ValueError(f"witness table does not cover ground-set point {x!r}")
-        if witness.f[x].dimension != instance.space.dimension:
-            raise DimensionMismatch(
-                f"witness value for {x!r} has dimension {witness.f[x].dimension}, "
-                f"space has {instance.space.dimension}"
-            )
-    return candidates
-
-
 def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -105,15 +94,28 @@ def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class _Conditions:
     """The three conditions for every anchor in one candidate set.
 
-    f and the distance row over the candidates are projected once, in one
-    call so that their images share a scale; each anchor is then decided
+    The constructor checks its inputs: q and the candidates must be
+    points (``UnknownLabel``), and the table must cover every ground-set
+    point (``ValueError``) at the space's dimension (``DimensionMismatch``).
+    f and the distance row over the candidates are then projected once, in
+    one call so that their images share a scale; each anchor is decided
     by integer comparisons, and a counterexample vector is built only for
     a failing verdict.
     """
 
-    def __init__(self, instance: QcmInstance, witness: WitnessTable, candidates: list[Label]):
-        self.candidates = candidates
-        self.f = [witness.value(x) for x in candidates]
+    def __init__(self, instance: QcmInstance, witness: WitnessTable, candidates: Iterable[Label]):
+        instance.require_points([witness.q])
+        self.candidates = candidates = sorted(set(candidates))
+        instance.require_points(candidates)
+        for x in instance.points:
+            if x not in witness.f:
+                raise ValueError(f"witness table does not cover ground-set point {x!r}")
+            if witness.f[x].dimension != instance.space.dimension:
+                raise DimensionMismatch(
+                    f"witness value for {x!r} has dimension {witness.f[x].dimension}, "
+                    f"space has {instance.space.dimension}"
+                )
+        self.f = [witness.f[x] for x in candidates]
         self.d = [directed_distance(instance, witness.q, x, witness.direction) for x in candidates]
         images = project(instance.space.cone, self.f + self.d)
         self.pf, self.pd = images[: len(candidates)], images[len(candidates) :]
@@ -139,13 +141,9 @@ class _Conditions:
             )
         return WitnessVerdict(True)
 
-
-def _certified(
-    instance: QcmInstance, witness: WitnessTable, candidates: Iterable[Label]
-) -> list[Label]:
-    """The candidates the table certifies, in label order."""
-    conditions = _Conditions(instance, witness, _validate(instance, witness, candidates))
-    return [h for i, h in enumerate(conditions.candidates) if conditions.verdict(i).holds]
+    def certified(self) -> list[Label]:
+        """The candidates the table certifies, in label order."""
+        return [h for i, h in enumerate(self.candidates) if self.verdict(i).holds]
 
 
 def verify_witness_for_element(
@@ -159,10 +157,10 @@ def verify_witness_for_element(
     Exact verdict: no tolerances. Candidates are scanned in label order,
     so the reported counterexample is deterministic.
     """
-    candidates = _validate(instance, witness, candidates)
-    if h not in candidates:
+    conditions = _Conditions(instance, witness, candidates)
+    if h not in conditions.candidates:
         raise ValueError(f"anchored element {h!r} is not in the candidate set")
-    return _Conditions(instance, witness, candidates).verdict(candidates.index(h))
+    return conditions.verdict(conditions.candidates.index(h))
 
 
 def verify_witness_for_set(
@@ -179,16 +177,15 @@ def verify_witness_for_set(
     agree, since each member's anchor precedes every other's and the
     order is antisymmetric. The empty member set holds vacuously.
     """
-    candidates = _validate(instance, witness, candidates)
+    conditions = _Conditions(instance, witness, candidates)
     members = sorted(set(members))
-    missing = [m for m in members if m not in candidates]
+    missing = [m for m in members if m not in conditions.candidates]
     if missing:
         raise ValueError(
             f"members {missing} are not contained in the candidate set"
         )
-    conditions = _Conditions(instance, witness, candidates)
     for m in members:
-        verdict = conditions.verdict(candidates.index(m))
+        verdict = conditions.verdict(conditions.candidates.index(m))
         if not verdict.holds:
             return verdict
     return WitnessVerdict(True)
@@ -199,8 +196,10 @@ def default_witness_pool(
 ) -> list[WitnessTable]:
     """Canonical table plus componentwise shrinkages t*d for t in {1/2, 3/4}.
 
-    The shrunk tables keep every value inside the cone whenever the
-    distances are; they mostly exercise the verifier, since the anchor
+    A ready-made pool for callers and tests of
+    ``search_counterexample_witness``; the search without a pool does not
+    use it. The shrunk tables keep every value inside the cone whenever
+    the distances are; they mostly exercise the verifier, since the anchor
     condition pins f to the true distance at the members.
     """
     canonical = canonical_witness(instance, q, direction)
@@ -223,20 +222,22 @@ def search_counterexample_witness(
 
     Any set certified by any table is contained in the best set, so the
     search space collapses: compute the best set, and if it has fewer
-    than two members no table in any pool can succeed. Otherwise return
-    the first pool table certifying two or more candidates; one table
-    certifies a set exactly when it certifies each member.
+    than two members no table in any pool can succeed. Without a pool,
+    return the canonical table with the best set, which that table
+    certifies exactly. Otherwise return the first table of the pool, in
+    order, that certifies two or more candidates, with the set it
+    certifies; one table certifies a set exactly when it certifies each
+    member.
     """
     from .approximation import _best_indices
 
-    candidates = frozenset(candidates)
-    best_at = _best_indices(instance, Query(q, candidates, direction))[3]
+    labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
     if len(best_at) < 2:
         return None
     if pool is None:
-        pool = default_witness_pool(instance, q, direction)
+        return canonical_witness(instance, q, direction), frozenset(labels[i] for i in best_at)
     for witness in pool:
-        certified = _certified(instance, witness, candidates)
+        certified = _Conditions(instance, witness, labels).certified()
         if len(certified) >= 2:
             return witness, frozenset(certified)
     return None

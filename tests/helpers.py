@@ -6,6 +6,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from quasicone import OrderedSpace, PolyhedralCone, QcmInstance, Query, Vec, exact_rank
+from quasicone.cones import _nonzero_member
 
 
 def rational_grid(start, stop, step):
@@ -84,3 +85,27 @@ def pointed_cones(draw, max_rows: int):
     rows = draw(st.lists(vectors(dim), min_size=dim, max_size=max_rows))
     assume(not any(r.is_zero for r in rows) and exact_rank(rows) == dim)
     return PolyhedralCone(dim, tuple(rows))
+
+
+@st.composite
+def axiom_tables(draw, ties: bool = False):
+    """Random explicit tables over random pointed cones, failing axioms
+    included. Most entries are 0 to 3 times one nonzero member of the
+    cone, so every axiom both holds and fails; in a noisy table any entry
+    may instead be an arbitrary small vector, negative coordinates included.
+    With ``ties`` a table has at least two points and its multiples are 0
+    or 1, so equal distances, and best sets of two or more, are common."""
+    cone = draw(pointed_cones(max_rows=4))
+    space = OrderedSpace(cone.dimension, cone)
+    member = _nonzero_member(cone) or space.zero()
+    entry = st.integers(min_value=0, max_value=1 if ties else 3).map(lambda k: member * k)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, vectors(cone.dimension))
+    labels = [f"p{i}" for i in range(draw(st.integers(min_value=2 if ties else 1, max_value=4)))]
+    zero_diagonal = draw(st.booleans())
+    table = {
+        (r, s): space.zero() if r == s and zero_diagonal else draw(entry)
+        for r in labels
+        for s in labels
+    }
+    return QcmInstance(space, labels, table)

@@ -202,13 +202,14 @@ class TestWitnessCommand:
 
 
 class TestExitCodes:
-    def test_parse_error_is_2(self, tmp_path):
+    def test_parse_error_is_2(self, tmp_path, slack_file):
         path = tmp_path / "bad.json"
-        for content in (b"{not json", b"\xff\xfe\x00"):
+        for content in (b"{not json", b"\xff\xfe\x00", b"[" + b"1" * 5000 + b"]", b"[" * 100_000):
             path.write_bytes(content)
-            result = run("verify", path)
-            assert result.exit_code == 2, content
-            assert f"error: {path}: " in result.output
+            for args in (["verify", path], ["witness", slack_file, "--mode", "check", "--witness-path", path]):
+                result = run(*args)
+                assert result.exit_code == 2, (content[:8], args[0])
+                assert f"error: {path}: " in result.output
 
     def test_unknown_query_label_is_3(self, tmp_path):
         doc = {

@@ -81,9 +81,14 @@ json_leaves = (
     | st.sampled_from(["0", "1/2", "-3", "a", "b", "forward", "table", "example4"])
     | st.sampled_from(OVERLONG_LITERALS + NON_ASCII_LITERALS)
 )
+# the schema's own field names, so a replaced node can be a near-valid object
+json_keys = st.text(max_size=4) | st.sampled_from([
+    "space", "dimension", "rows", "points", "label", "coordinate", "metric", "kind", "alpha",
+    "entries", "queries", "q", "candidates", "direction", "embedding", "f", "a", "b", "0", "1/2",
+])
 json_values = json_leaves | st.recursive(
     json_leaves,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_keys, inner, max_size=3),
     max_leaves=6,
 )
 
@@ -313,7 +318,12 @@ class TestUnknownQueryLabels:
 class TestLoadFiles:
     def test_json_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
-        for content, fragment in ((b'{"points": [,]}', "invalid JSON at line 1"), (b"\xff\xfe\x00", "not UTF-8 text")):
+        for content, fragment in (
+            (b'{"points": [,]}', "invalid JSON at line 1"),
+            (b"\xff\xfe\x00", "not UTF-8 text"),
+            (b"[" + b"1" * 5000 + b"]", "invalid JSON: "),  # past the int-string limit
+            (b"[" * 100_000, "invalid JSON: "),  # past the recursion limit
+        ):
             path.write_bytes(content)
             for load in (load_instance_file, load_witness_file):
                 with pytest.raises(InstanceFileError, match=f"^{re.escape(str(path))}: {fragment}"):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from quasicone import (
     DimensionMismatch,
@@ -21,30 +20,7 @@ from quasicone import (
     verify_axioms,
 )
 from quasicone import metric
-from quasicone.cones import _nonzero_member
-from helpers import pointed_cones, rational_grid, vectors
-
-
-@st.composite
-def axiom_tables(draw):
-    """Random explicit tables over random pointed cones, failing axioms
-    included. Most entries are 0 to 3 times one nonzero member of the
-    cone, so every axiom both holds and fails; in a noisy table any entry
-    may instead be an arbitrary small vector, negative coordinates included."""
-    cone = draw(pointed_cones(max_rows=4))
-    space = OrderedSpace(cone.dimension, cone)
-    member = _nonzero_member(cone) or space.zero()
-    entry = st.integers(min_value=0, max_value=3).map(lambda k: member * k)
-    if draw(st.booleans()):
-        entry = st.one_of(entry, vectors(cone.dimension))
-    labels = [f"p{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
-    zero_diagonal = draw(st.booleans())
-    table = {
-        (r, s): space.zero() if r == s and zero_diagonal else draw(entry)
-        for r in labels
-        for s in labels
-    }
-    return QcmInstance(space, labels, table)
+from helpers import axiom_tables, rational_grid
 
 
 class TestDirectionMetric:

@@ -3,6 +3,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from quasicone import (
     ANCHOR_EQUALITY,
@@ -25,7 +27,9 @@ from quasicone import (
     verify_witness_for_element,
     verify_witness_for_set,
 )
-from helpers import rational_grid, seeded_instances
+from quasicone import witnesses
+from quasicone.approximation import _best_indices
+from helpers import axiom_tables, rational_grid, seeded_instances
 
 H_GRID = rational_grid(0, 2, "1/4")
 H_LABELS = frozenset(label for label, _ in H_GRID)
@@ -213,11 +217,71 @@ class TestSearch:
         ]
         assert search_counterexample_witness(instance, "-3", H_LABELS, pool=zero_pool) is None
 
+    def test_search_without_pool_checks_no_table(self, monkeypatch):
+        # the canonical table certifies exactly the best set, so nothing is re-checked
+        def unused(*args):
+            raise AssertionError("the search without a pool checked a table")
+
+        monkeypatch.setattr(witnesses, "_Conditions", unused)
+        monkeypatch.setattr(witnesses, "default_witness_pool", unused)
+        instance = alpha_instance(-3)
+        assert search_counterexample_witness(instance, "-3", H_LABELS) == (
+            canonical_witness(instance, "-3"), H_LABELS
+        )
+
     def test_default_pool_shapes(self):
         instance = alpha_instance(5)
         pool = default_witness_pool(instance, "5")
         assert len(pool) == 3
         assert pool[1].value("2") == Fraction(1, 2) * pool[0].value("2")
+
+
+@st.composite
+def best_set_cases(draw):
+    """A random explicit table biased toward ties, failing axioms included,
+    with a random query point and a random candidate subset, often the
+    whole ground set."""
+    instance = draw(axiom_tables(ties=True))
+    labels = st.sampled_from(instance.points)
+    subsets = st.frozensets(labels, min_size=1) | st.just(frozenset(instance.points))
+    return instance, draw(labels), draw(subsets)
+
+
+class TestBestSetProperties:
+    """The best set by three routes, in both directions: ``_best_indices``,
+    the definition evaluated with ``space.leq``, and the canonical witness."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(best_set_cases())
+    def test_best_indices_equal_the_definition(self, case):
+        instance, q, candidates = case
+        for direction in (FORWARD, BACKWARD):
+            labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
+            d = {h: directed_distance(instance, q, h, direction) for h in candidates}
+            definition = [
+                h for h in sorted(candidates)
+                if all(instance.space.leq(d[h], d[x]) for x in candidates)
+            ]
+            assert [labels[i] for i in best_at] == definition
+
+    @settings(max_examples=150, deadline=None)
+    @given(best_set_cases())
+    def test_canonical_witness_certifies_exactly_the_best_set(self, case):
+        instance, q, candidates = case
+        for direction in (FORWARD, BACKWARD):
+            labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
+            best = frozenset(labels[i] for i in best_at)
+            event(f"{direction}: best set of {'two or more' if len(best) >= 2 else 'fewer than two'}")
+            w = canonical_witness(instance, q, direction)
+            for h in labels:
+                assert verify_witness_for_element(instance, w, candidates, h).holds == (h in best)
+            for size in range(len(labels) + 1):
+                for subset in itertools.combinations(labels, size):
+                    assert verify_witness_for_set(instance, w, candidates, subset).holds == (
+                        best.issuperset(subset)
+                    )
+            found = search_counterexample_witness(instance, q, candidates, direction=direction)
+            assert found == ((w, best) if len(best) >= 2 else None)
 
 
 class TestBackwardMirrors:
