@@ -16,6 +16,7 @@ body.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -57,18 +58,14 @@ class _Failure(Exception):
         self.code = code
 
 
-def _emit(text: str, out: str | None) -> None:
+def _report(doc: dict, out: str | None, render=None) -> None:
+    """Write ``render(doc)``, or the document as indented JSON, to the file
+    ``out`` or to stdout."""
+    text = render(doc) if render else json.dumps(doc, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
-
-
-def _finish(doc: dict, out: str | None, pretty_text: str | None) -> None:
-    if pretty_text is not None:
-        _emit(pretty_text, out)
-    else:
-        _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _select_queries(
@@ -103,23 +100,29 @@ def _select_queries(
     return chosen
 
 
-def _run(command):
-    """Execute a command body, mapping library errors to exit codes."""
-    started = time.perf_counter()
-    try:
-        command()
-    except _Failure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.code)
-    except InstanceFileError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    except _SEMANTIC_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SEMANTIC)
-    finally:
-        elapsed = time.perf_counter() - started
-        click.echo(f"elapsed: {elapsed:.3f}s", err=True)
+def _exits(command):
+    """Run a command, mapping library errors to exit codes, and print the
+    elapsed time to stderr. Goes under the click decorators."""
+
+    @functools.wraps(command)
+    def run(**options):
+        started = time.perf_counter()
+        try:
+            command(**options)
+        except _Failure as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(exc.code)
+        except InstanceFileError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_PARSE)
+        except _SEMANTIC_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_SEMANTIC)
+        finally:
+            elapsed = time.perf_counter() - started
+            click.echo(f"elapsed: {elapsed:.3f}s", err=True)
+
+    return run
 
 
 def _report_options(fn):
@@ -158,39 +161,35 @@ def _pretty_axioms(doc: dict) -> str:
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Accepted for compatibility; has no effect, as every check is exact.")
 @_report_options
+@_exits
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
+    from .cones import check_cone_axioms
 
-    def body():
-        from .cones import check_cone_axioms
-
-        loaded = load_instance_file(path)
-        instance = loaded.instance
-        cone_report = check_cone_axioms(instance.space.cone)
-        metric_report = verify_axioms(instance)
-        doc = {
-            "command": "verify",
-            "file": path,
-            "points": len(instance.points),
-            "cone_axioms": axiom_report_json(cone_report),
-            "metric_axioms": axiom_report_json(metric_report),
-            "passed": cone_report.passed and metric_report.passed,
-        }
-        _finish(doc, out, _pretty_axioms(doc) if pretty else None)
-        if not doc["passed"]:
-            failing = [c.axiom for c in (*cone_report.failures, *metric_report.failures)]
-            raise _Failure(EXIT_AXIOM, f"axiom failure: {', '.join(failing)}")
-
-    _run(body)
+    instance = load_instance_file(path).instance
+    cone_report = check_cone_axioms(instance.space.cone)
+    metric_report = verify_axioms(instance)
+    doc = {
+        "command": "verify",
+        "file": path,
+        "points": len(instance.points),
+        "cone_axioms": axiom_report_json(cone_report),
+        "metric_axioms": axiom_report_json(metric_report),
+        "passed": cone_report.passed and metric_report.passed,
+    }
+    _report(doc, out, _pretty_axioms if pretty else None)
+    if not doc["passed"]:
+        failing = [c.axiom for c in (*cone_report.failures, *metric_report.failures)]
+        raise _Failure(EXIT_AXIOM, f"axiom failure: {', '.join(failing)}")
 
 
 # ---------------------------------------------------------------------------
 # approx
 # ---------------------------------------------------------------------------
 
-def _pretty_approx(results: list[dict]) -> str:
+def _pretty_approx(doc: dict) -> str:
     lines = []
-    for r in results:
+    for r in doc["results"]:
         tag = "P_{H_f}" if r["direction"] == FORWARD else "P_{H_b}"
         best = "{" + ", ".join(r["best"]) + "}" if r["best"] else "∅"
         lines.append(f"{tag}(q={r['q']}) = {best}")
@@ -214,26 +213,21 @@ def _pretty_approx(results: list[dict]) -> str:
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
               help="Override the direction of the selected queries.")
 @_report_options
+@_exits
 def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
+    from .approximation import best_approximation_set
 
-    def body():
-        from .approximation import best_approximation_set
-
-        loaded = load_instance_file(path)
-        queries = _select_queries(loaded, selector, direction)
-        results = [
+    loaded = load_instance_file(path)
+    doc = {
+        "command": "approx",
+        "file": path,
+        "results": [
             approximation_json(q, best_approximation_set(loaded.instance, q))
-            for q in queries
-        ]
-        doc = {
-            "command": "approx",
-            "file": path,
-            "results": results,
-        }
-        _finish(doc, out, _pretty_approx(results) if pretty else None)
-
-    _run(body)
+            for q in _select_queries(loaded, selector, direction)
+        ],
+    }
+    _report(doc, out, _pretty_approx if pretty else None)
 
 
 # ---------------------------------------------------------------------------
@@ -274,75 +268,59 @@ def _pretty_witness(doc: dict) -> str:
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
               help="Emit mode only: override the direction of the selected query.")
 @_report_options
+@_exits
 def witness(path, mode, selector, witness_path, members, direction, out, pretty):
     """Emit the canonical witness for a query, or check a witness file.
 
     In check mode without --members, the verdict holds when the table
     certifies at least one candidate; the certified set is reported.
     """
+    from .witnesses import _Conditions, canonical_witness, verify_witness_for_set
 
-    def body():
-        from .witnesses import (
-            WitnessVerdict,
-            _Conditions,
-            canonical_witness,
-            verify_witness_for_set,
+    if members and mode == "emit":
+        raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
+    if direction and mode == "check":
+        raise _Failure(
+            EXIT_SEMANTIC,
+            "--direction applies to --mode emit only; check mode uses the witness file's direction",
         )
+    loaded = load_instance_file(path)
+    query = _select_queries(loaded, selector, direction)[0]
+    candidates = sorted(query.candidates)
+    if mode == "emit":
+        wdoc = witness_json(canonical_witness(loaded.instance, query.q, query.direction))
+        if witness_path:
+            _report(wdoc, witness_path)
+        doc = {"command": "witness", "mode": "emit", "file": path, "witness": wdoc}
+        _report(doc, out, _pretty_witness if pretty else None)
+        return
 
-        if members and mode == "emit":
-            raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
-        if direction and mode == "check":
-            raise _Failure(
-                EXIT_SEMANTIC,
-                "--direction applies to --mode emit only; check mode uses the witness file's direction",
-            )
-        loaded = load_instance_file(path)
-        query = _select_queries(loaded, selector, direction)[0]
-        candidates = sorted(query.candidates)
-        if mode == "emit":
-            table = canonical_witness(loaded.instance, query.q, query.direction)
-            wdoc = witness_json(table)
-            if witness_path:
-                Path(witness_path).write_text(json.dumps(wdoc, indent=2) + "\n")
-            doc = {
-                "command": "witness",
-                "mode": "emit",
-                "file": path,
-                "witness": wdoc,
-            }
-            _finish(doc, out, _pretty_witness(doc) if pretty else None)
-            return
-
-        if not witness_path:
-            raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
-        table = load_witness_file(witness_path)
-        if members:
-            verdict = verify_witness_for_set(
-                loaded.instance, table, candidates, members
-            )
-            certified = sorted(members) if verdict.holds else []
-        else:
-            certified = _Conditions(loaded.instance, table, candidates).certified()
-            verdict = WitnessVerdict(True) if certified else None
-        doc = {
-            "command": "witness",
-            "mode": "check",
-            "file": path,
-            "witness": {"q": table.q, "direction": table.direction},
-            "certified": certified,
-        }
-        if verdict is None:
-            doc["verdict"] = {"holds": False, "reason": "witness certifies no candidate"}
-            _finish(doc, out, _pretty_witness(doc) if pretty else None)
-            raise _Failure(EXIT_VERDICT, "witness certifies no candidate")
-        doc["verdict"] = verdict_json(verdict)
-        _finish(doc, out, _pretty_witness(doc) if pretty else None)
-        if not verdict.holds:
-            raise _Failure(
-                EXIT_VERDICT, f"witness check failed: {verdict.failed_condition}"
-            )
-
-    _run(body)
+    if not witness_path:
+        raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
+    table = load_witness_file(witness_path)
+    if members:
+        verdict = verify_witness_for_set(loaded.instance, table, candidates, members)
+        certified = sorted(members) if verdict.holds else []
+        verdict_doc = verdict_json(verdict)
+        failure = f"witness check failed: {verdict.failed_condition}"
+    else:
+        certified = _Conditions(loaded.instance, table, candidates).certified()
+        verdict_doc = (
+            {"holds": True} if certified
+            else {"holds": False, "reason": "witness certifies no candidate"}
+        )
+        failure = "witness certifies no candidate"
+    doc = {
+        "command": "witness",
+        "mode": "check",
+        "file": path,
+        "witness": {"q": table.q, "direction": table.direction},
+        "certified": certified,
+        "verdict": verdict_doc,
+    }
+    _report(doc, out, _pretty_witness if pretty else None)
+    if not verdict_doc["holds"]:
+        raise _Failure(EXIT_VERDICT, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +359,7 @@ def _pretty_classify(doc: dict) -> str:
               help="Force or skip the linear-independence census "
                    "(default: run it when the file has an embedding).")
 @_report_options
+@_exits
 def classify_cmd(path, direction, pseudo, out, pretty):
     """Classify the candidate set over the file's query family.
 
@@ -389,58 +368,45 @@ def classify_cmd(path, direction, pseudo, out, pretty):
     queries, every ground-set point is both a query and a candidate. Exit
     code 5 when the set is not Chebyshev.
     """
+    from .chebyshev import QueryFamily, classify as classify_family
 
-    def body():
-        from .chebyshev import QueryFamily, classify as classify_family
-
-        loaded = load_instance_file(path)
-        if loaded.queries:
-            candidate_sets = {q.candidates for q in loaded.queries}
-            if len(candidate_sets) != 1:
-                raise _Failure(
-                    EXIT_SEMANTIC,
-                    "classification needs a single shared candidate set across queries",
-                )
-            first = loaded.queries[0].direction
-            i = next((i for i, q in enumerate(loaded.queries) if q.direction != first), None)
-            if direction is None and i is not None:
-                raise _Failure(
-                    EXIT_SEMANTIC,
-                    f"queries[{i}].direction: {loaded.queries[i].direction!r} differs from "
-                    f"queries[0].direction {first!r}; classification needs a single "
-                    "direction across queries (or --direction)",
-                )
-            family = QueryFamily(
-                tuple(q.q for q in loaded.queries),
-                next(iter(candidate_sets)),
-                direction or first,
-            )
-        else:
-            family = QueryFamily(
-                tuple(instance_label for instance_label in loaded.instance.points),
-                frozenset(loaded.instance.points),
-                direction or FORWARD,
-            )
-        report = classify_family(
-            loaded.instance, family, embedding=loaded.embedding, check_pseudo=pseudo
+    loaded = load_instance_file(path)
+    everything = frozenset(loaded.instance.points)
+    queries = loaded.queries or [Query(p, everything, FORWARD) for p in loaded.instance.points]
+    candidate_sets = {q.candidates for q in queries}
+    if len(candidate_sets) != 1:
+        raise _Failure(
+            EXIT_SEMANTIC,
+            "classification needs a single shared candidate set across queries",
         )
-        doc = {
-            "command": "classify",
-            "file": path,
-            **chebyshev_report_json(report),
-        }
-        _finish(doc, out, _pretty_classify(doc) if pretty else None)
-        if not (report.chebyshev_holds and report.quasi_holds):
-            first = (
-                report.chebyshev_counterexamples[0][0]
-                if report.chebyshev_counterexamples
-                else report.quasi_counterexamples[0][0]
-            )
-            raise _Failure(
-                EXIT_VERDICT, f"classification failed; first counterexample at q={first}"
-            )
-
-    _run(body)
+    first = queries[0].direction
+    i = next((i for i, q in enumerate(queries) if q.direction != first), None)
+    if direction is None and i is not None:
+        raise _Failure(
+            EXIT_SEMANTIC,
+            f"queries[{i}].direction: {queries[i].direction!r} differs from "
+            f"queries[0].direction {first!r}; classification needs a single "
+            "direction across queries (or --direction)",
+        )
+    family = QueryFamily(tuple(q.q for q in queries), candidate_sets.pop(), direction or first)
+    report = classify_family(
+        loaded.instance, family, embedding=loaded.embedding, check_pseudo=pseudo
+    )
+    doc = {
+        "command": "classify",
+        "file": path,
+        **chebyshev_report_json(report),
+    }
+    _report(doc, out, _pretty_classify if pretty else None)
+    if not (report.chebyshev_holds and report.quasi_holds):
+        first = (
+            report.chebyshev_counterexamples[0][0]
+            if report.chebyshev_counterexamples
+            else report.quasi_counterexamples[0][0]
+        )
+        raise _Failure(
+            EXIT_VERDICT, f"classification failed; first counterexample at q={first}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +448,34 @@ def _parse_grid(spec: str) -> list[Fraction]:
 @click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
               help="Direction of the --beta query; needs --beta, default forward.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_exits
 def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
+    from .cones import as_rational, format_rational
 
-    def body():
-        from .cones import as_rational, format_rational
-
-        if alpha is not None and name != "example4":
-            raise _Failure(EXIT_SEMANTIC, f"--alpha applies to example4 only, not {name}")
-        if direction is not None and beta is None:
-            raise _Failure(EXIT_SEMANTIC, "--direction applies to the --beta query; give --beta")
-        grid_values = _parse_grid(grid)
-        points = [(format_rational(v), v) for v in grid_values]
-        candidate_labels = [label for label, _ in points]
-        queries = []
-        if beta is not None:
-            try:
-                beta_value = as_rational(beta)
-            except NotARational:
-                raise _Failure(EXIT_SEMANTIC, f"beta must be rational, got {beta!r}") from None
-            q_value = beta_value * beta_value if name == "example3" else beta_value
-            q_label = format_rational(q_value)
-            if q_value not in grid_values:
-                points.append((q_label, q_value))
-            queries.append(Query(q_label, frozenset(candidate_labels), direction or FORWARD))
-        if name == "example3":
-            instance = build_example3(points)
-        else:
-            instance = build_example4(points, as_rational("1" if alpha is None else alpha))
-        doc = instance_json(instance, queries)
-        _emit(json.dumps(doc, indent=2) + "\n", out)
-
-    _run(body)
+    if alpha is not None and name != "example4":
+        raise _Failure(EXIT_SEMANTIC, f"--alpha applies to example4 only, not {name}")
+    if direction is not None and beta is None:
+        raise _Failure(EXIT_SEMANTIC, "--direction applies to the --beta query; give --beta")
+    grid_values = _parse_grid(grid)
+    points = [(format_rational(v), v) for v in grid_values]
+    candidate_labels = [label for label, _ in points]
+    queries = []
+    if beta is not None:
+        try:
+            beta_value = as_rational(beta)
+        except NotARational:
+            raise _Failure(EXIT_SEMANTIC, f"beta must be rational, got {beta!r}") from None
+        q_value = beta_value * beta_value if name == "example3" else beta_value
+        q_label = format_rational(q_value)
+        if q_value not in grid_values:
+            points.append((q_label, q_value))
+        queries.append(Query(q_label, frozenset(candidate_labels), direction or FORWARD))
+    if name == "example3":
+        instance = build_example3(points)
+    else:
+        instance = build_example4(points, as_rational("1" if alpha is None else alpha))
+    _report(instance_json(instance, queries), out)
 
 
 if __name__ == "__main__":

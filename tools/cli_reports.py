@@ -7,8 +7,10 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. For each invocation it keeps stdout, the exit
-code and stderr without its ``elapsed:`` line. Commands run in OUT_DIR with
+on each file: 128 reports. Eleven more invocations run once, on files that
+``example`` writes: ``example`` itself, ``classify`` on a file without
+queries, and the CLI's own exit 2 and 3 checks. For each invocation it keeps
+stdout, the exit code and stderr without its ``elapsed:`` line. Commands run in OUT_DIR with
 relative paths, so the reports of two trees differ only where the program's
 answers or messages do:
 
@@ -56,6 +58,26 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
     }
 
 
+def once_invocations(queried: str, free: str, broken: str) -> dict[str, list[str]]:
+    """The 11 invocations run once, in order, by report name: the first
+    three write the files the rest read, and ``broken`` holds ``{not json``."""
+    return {
+        "example3-beta": ["example", "example3", "--grid", "-2:2:1/2", "--beta", "1"],
+        "example4-backward": ["example", "example4", "--grid", "0:4:1/2", "--alpha", "2/3",
+                              "--beta", "3", "--direction", "backward", "--out", queried],
+        "example4-no-queries": ["example", "example4", "--grid", "0:4:1/2", "--out", free],
+        "classify-no-queries": ["classify", free],
+        "classify-no-queries-backward-pretty": ["classify", free, "--direction", "backward",
+                                                "--pretty"],
+        "witness-emit-members": ["witness", queried, "--mode", "emit", "--members", "1"],
+        "witness-check-no-path": ["witness", queried, "--mode", "check"],
+        "approx-query-99": ["approx", queried, "--query", "99"],
+        "example3-alpha": ["example", "example3", "--grid", "0:1:1", "--alpha", "2"],
+        "example4-zero-step": ["example", "example4", "--grid", "0:1:0"],
+        "verify-not-json": ["verify", broken],
+    }
+
+
 def corrupt(witness: Path, corrupted: Path) -> None:
     """Copy a witness file with every coordinate of its middle entry set to -1."""
     doc = json.loads(witness.read_text())
@@ -74,6 +96,22 @@ def main(argv: list[str]) -> int:
 
     env = dict(os.environ, PYTHONPATH=str(src))
     broken = []
+
+    def record(args: list[str], reports: Path, report: str) -> None:
+        done = subprocess.run(
+            [sys.executable, "-m", "quasicone.cli", *args],
+            cwd=out, env=env, capture_output=True, text=True,
+        )
+        stderr = "".join(
+            line for line in done.stderr.splitlines(keepends=True)
+            if not line.startswith("elapsed:")
+        )
+        (reports / f"{report}.stdout").write_text(done.stdout)
+        (reports / f"{report}.stderr").write_text(stderr)
+        (reports / f"{report}.exit").write_text(f"{done.returncode}\n")
+        if done.returncode == 1 or "Traceback" in stderr:
+            broken.append(f"{reports.name}/{report}")
+
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
             tag = f"{name}-{seed}"
@@ -88,19 +126,15 @@ def main(argv: list[str]) -> int:
                 for report, args in invocations(path, witness, corrupted, member).items():
                     if report == "witness-corrupted":
                         corrupt(out / witness, out / corrupted)
-                    done = subprocess.run(
-                        [sys.executable, "-m", "quasicone.cli", *args],
-                        cwd=out, env=env, capture_output=True, text=True,
-                    )
-                    stderr = "".join(
-                        line for line in done.stderr.splitlines(keepends=True)
-                        if not line.startswith("elapsed:")
-                    )
-                    (reports / f"{report}.stdout").write_text(done.stdout)
-                    (reports / f"{report}.stderr").write_text(stderr)
-                    (reports / f"{report}.exit").write_text(f"{done.returncode}\n")
-                    if done.returncode == 1 or "Traceback" in stderr:
-                        broken.append(f"{tag}-{spec.name}/{report}")
+                    record(args, reports, report)
+    (out / "files" / "once").mkdir(parents=True, exist_ok=True)
+    (out / "reports" / "once").mkdir(parents=True, exist_ok=True)
+    (out / "files" / "once" / "broken.json").write_text("{not json")
+    once = once_invocations(
+        "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json"
+    )
+    for report, args in once.items():
+        record(args, out / "reports" / "once", report)
     for report in broken:
         print(f"exit 1 or traceback: {report}", file=sys.stderr)
     return 1 if broken else 0
