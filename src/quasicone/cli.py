@@ -298,9 +298,16 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     if not witness_path:
         raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
     table = load_witness_file(witness_path)
+    # a label that is not a point is a semantic error (exit 3), as in a query;
+    # the table keeps the file's order of f
+    for where, label in (("q", table.q), *((f"f[{i}]", x) for i, x in enumerate(table.f))):
+        if not loaded.instance.has_point(label):
+            raise UnknownLabel(
+                f"{Path(witness_path)}: witness.{where}: unknown point label {label!r}"
+            )
     if members:
         verdict = verify_witness_for_set(loaded.instance, table, candidates, members)
-        certified = sorted(members) if verdict.holds else []
+        certified = sorted(set(members)) if verdict.holds else []
         verdict_doc = verdict_json(verdict)
         failure = f"witness check failed: {verdict.failed_condition}"
     else:

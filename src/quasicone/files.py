@@ -14,6 +14,7 @@ which converts literals that are not plain and names the first bad field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -27,6 +28,7 @@ from .cones import (
 from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
 from .metric import (
     DIRECTION_METRIC,
+    DIRECTIONS,
     EXPLICIT_TABLE,
     FORWARD,
     Label,
@@ -309,7 +311,12 @@ def _load(path: str | Path, parse):
         raise InstanceFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except (ValueError, RecursionError) as exc:  # past the int-string or recursion limit
+    except ValueError:  # past the int-string limit
+        raise InstanceFileError(
+            f"{path}: invalid JSON: a number exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit limit"
+        ) from None
+    except RecursionError as exc:
         raise InstanceFileError(f"{path}: invalid JSON: {exc}") from None
     try:
         return parse(doc)
@@ -390,6 +397,8 @@ def parse_witness(doc: dict) -> WitnessTable:
     if not isinstance(q, str):
         raise _fail("witness.q", "expected a label string")
     direction = _require(doc, "direction", "witness")
+    if direction not in DIRECTIONS:
+        raise _fail("witness.direction", f"expected one of {DIRECTIONS}, got {direction!r}")
     f_doc = _require(doc, "f", "witness")
     if not isinstance(f_doc, list):
         raise InstanceFileError("witness.f: expected an array of [label, vector] pairs")
@@ -401,10 +410,7 @@ def parse_witness(doc: dict) -> WitnessTable:
         if entry[0] in table:
             raise _fail(spot, f"repeats the entry for {entry[0]!r}")
         table[entry[0]] = _vec(entry[1], f"{spot}[1]")
-    try:
-        return WitnessTable(q, direction, table)
-    except ValueError as exc:
-        raise InstanceFileError(f"witness: {exc}") from None
+    return WitnessTable(q, direction, table)
 
 
 def load_witness_file(path: str | Path) -> WitnessTable:

@@ -227,10 +227,18 @@ def search_counterexample_witness(
     certifies exactly. Otherwise return the first table of the pool, in
     order, that certifies two or more candidates, with the set it
     certifies; one table certifies a set exactly when it certifies each
-    member.
+    member. A pool table for another q or direction raises ``ValueError``.
     """
     from .approximation import _best_indices
 
+    if pool is not None:
+        pool = list(pool)
+        for i, witness in enumerate(pool):
+            if (witness.q, witness.direction) != (q, direction):
+                raise ValueError(
+                    f"pool[{i}] is a table for q={witness.q!r} ({witness.direction}); "
+                    f"the search is for q={q!r} ({direction})"
+                )
     labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
     if len(best_at) < 2:
         return None

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicone import (
     BACKWARD,
@@ -22,7 +24,9 @@ from quasicone import (
     transpose,
 )
 from quasicone import approximation
-from helpers import rational_grid, random_query, random_table_instance, seeded_instances
+from helpers import (
+    axiom_tables, rational_grid, random_query, random_table_instance, seeded_instances,
+)
 
 H_GRID = rational_grid(0, 2, "1/4")
 H_LABELS = frozenset(label for label, _ in H_GRID)
@@ -205,6 +209,16 @@ class TestDuality:
         fwd = best_approximation_set(instance, Query(query.q, query.candidates, FORWARD))
         bwd = best_approximation_set(instance, Query(query.q, query.candidates, BACKWARD))
         assert fwd.best == bwd.best
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_duality_holds_on_any_table(self, data):
+        # random explicit tables over random pointed cones, failing axioms included
+        instance = data.draw(axiom_tables())
+        labels = st.sampled_from(instance.points)
+        q = data.draw(labels)
+        candidates = data.draw(st.frozensets(labels, min_size=1))
+        assert duality_check(instance, q, candidates)
 
     def test_backward_equals_forward_on_transpose_full_results(self):
         for instance, query in seeded_instances(30, seed=808):

@@ -178,6 +178,47 @@ class TestWitnessCommand:
         assert result.exit_code == 2
         assert f"witness.f[{len(doc['f']) - 1}]: repeats the entry for" in result.stderr
 
+    @pytest.fixture
+    def beta_files(self, tmp_path):
+        """An Example 4 file whose query point 1 is on the grid, and its canonical witness."""
+        path, wpath = tmp_path / "beta.json", tmp_path / "w.json"
+        made = run("example", "example4", "--grid", "0:2:1/2", "--beta", "1", "--out", path)
+        assert made.exit_code == 0
+        assert run("witness", path, "--mode", "emit", "--witness-path", wpath).exit_code == 0
+        return path, wpath
+
+    def test_repeated_member_is_listed_once(self, beta_files):
+        path, wpath = beta_files
+        result = run("witness", path, "--mode", "check", "--witness-path", wpath,
+                     "--members", "1", "--members", "1")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["certified"] == ["1"]
+
+    def test_witness_label_that_is_not_a_point_is_3(self, beta_files):
+        path, wpath = beta_files
+        doc = json.loads(wpath.read_text())
+        for field, edit in (
+            ("witness.q", lambda d: d.update(q="ghost")),
+            (f"witness.f[{len(doc['f'])}]", lambda d: d["f"].append(["ghost", ["0", "0"]])),
+        ):
+            bad = json.loads(json.dumps(doc))
+            edit(bad)
+            wpath.write_text(json.dumps(bad))
+            result = run("witness", path, "--mode", "check", "--witness-path", wpath)
+            assert result.exit_code == 3, (field, result.output)
+            assert f"error: {wpath}: {field}: unknown point label 'ghost'" in result.stderr
+            assert result.stdout == ""
+
+    def test_bad_witness_direction_is_2(self, beta_files):
+        path, wpath = beta_files
+        doc = json.loads(wpath.read_text())
+        doc["direction"] = "sideways"
+        wpath.write_text(json.dumps(doc))
+        result = run("witness", path, "--mode", "check", "--witness-path", wpath)
+        assert result.exit_code == 2
+        assert (f"error: {wpath}: witness.direction: expected one of ('forward', 'backward'), "
+                "got 'sideways'") in result.stderr
+
     def test_check_requires_witness_path(self, slack_file):
         assert run("witness", slack_file, "--mode", "check").exit_code == 3
 
@@ -210,6 +251,11 @@ class TestExitCodes:
                 result = run(*args)
                 assert result.exit_code == 2, (content[:8], args[0])
                 assert f"error: {path}: " in result.output
+                assert "set_int_max_str_digits" not in result.output
+        path.write_bytes(b"[" + b"1" * 5000 + b"]")
+        result = run("verify", path)
+        assert (f"error: {path}: invalid JSON: a number exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit\n") in result.stderr
 
     def test_unknown_query_label_is_3(self, tmp_path):
         doc = {

@@ -12,6 +12,8 @@ from quasicone import (
     DimensionMismatch,
     FORWARD,
     GAP_NOT_IN_CONE,
+    OrderedSpace,
+    QcmInstance,
     SHIFT_NOT_IN_CONE,
     Query,
     Vec,
@@ -216,6 +218,26 @@ class TestSearch:
             WitnessTable("-3", FORWARD, {x: Vec.zero(2) for x in instance.points})
         ]
         assert search_counterexample_witness(instance, "-3", H_LABELS, pool=zero_pool) is None
+
+    def test_pool_table_for_another_query_is_rejected(self):
+        # four points on the Q^2 orthant, every off-diagonal entry (1, 1)
+        space = OrderedSpace.orthant(2)
+        labels = ["a", "b", "c", "d"]
+        one = Vec.of(1, 1)
+        instance = QcmInstance(
+            space, labels, {(r, s): space.zero() if r == s else one for r in labels for s in labels}
+        )
+        with pytest.raises(ValueError, match=r"pool\[0\] is a table for q='d' \(forward\); "
+                                             r"the search is for q='a' \(forward\)"):
+            search_counterexample_witness(
+                instance, "a", ["b", "c"], pool=[canonical_witness(instance, "d")]
+            )
+        pool = [canonical_witness(instance, "a"), canonical_witness(instance, "a", BACKWARD)]
+        with pytest.raises(ValueError, match=r"pool\[1\] is a table for q='a' \(backward\)"):
+            search_counterexample_witness(instance, "a", ["b", "c"], pool=pool)
+        assert search_counterexample_witness(instance, "a", ["b", "c"], pool=pool[:1]) == (
+            pool[0], frozenset({"b", "c"})
+        )
 
     def test_search_without_pool_checks_no_table(self, monkeypatch):
         # the canonical table certifies exactly the best set, so nothing is re-checked
