@@ -11,10 +11,28 @@ witness check or classification that does not hold).
 
 Each run is a fresh interpreter, so the module level imports only what
 every command needs to read an instance file (``errors``, ``files`` and
-``metric``), and each command imports the rest of what it runs in its
-body.
+``metric``, which load ``cones``), and each command imports the rest of
+what it runs in its body; only ``verify`` loads ``reports``.
+
+Run as ``python -m quasicone.cli``, the program turns the cyclic garbage
+collector off before anything else is imported: every object a command
+builds lives until the process exits, so a collection pass can free
+nothing and only costs time (about a hundred passes while a 14,400-entry
+table is decoded and indexed). Importing the module leaves the collector
+alone, so tests, ``CliRunner`` and the installed ``quasicone`` script run
+with it on.
 """
 from __future__ import annotations
+
+import gc
+
+# One command is one process, and its objects live until that process
+# exits, so a collection pass finds nothing to free. Only the program run
+# as __main__ does this: importing a module must not change the collector
+# for the whole process. Nothing turns it back on, since that would start
+# a pass at once over everything the command built.
+if __name__ == "__main__":
+    gc.disable()
 
 import functools
 import json
@@ -298,20 +316,31 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     if not witness_path:
         raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
     table = load_witness_file(witness_path)
-    # a label that is not a point is a semantic error (exit 3), as in a query;
-    # the table keeps the file's order of f
-    for where, label in (("q", table.q), *((f"f[{i}]", x) for i, x in enumerate(table.f))):
-        if not loaded.instance.has_point(label):
-            raise UnknownLabel(
-                f"{Path(witness_path)}: witness.{where}: unknown point label {label!r}"
+    # a label that is not a point, or a point with no entry, is a semantic
+    # error (exit 3), as in a query; a vector of the wrong length is a parse
+    # error (exit 2), as in a table. The table keeps the file's order of f.
+    instance, where = loaded.instance, Path(witness_path)
+    if not instance.has_point(table.q):
+        raise UnknownLabel(f"{where}: witness.q: unknown point label {table.q!r}")
+    dimension = instance.space.dimension
+    for i, (label, value) in enumerate(table.f.items()):
+        if not instance.has_point(label):
+            raise UnknownLabel(f"{where}: witness.f[{i}]: unknown point label {label!r}")
+        if value.dimension != dimension:
+            raise InstanceFileError(
+                f"{where}: witness.f[{i}][1]: expected {dimension} coordinates, "
+                f"got {value.dimension}"
             )
+    missing = next((x for x in instance.points if x not in table.f), None)
+    if missing is not None:
+        raise _Failure(EXIT_SEMANTIC, f"{where}: witness.f: no entry for point {missing!r}")
     if members:
-        verdict = verify_witness_for_set(loaded.instance, table, candidates, members)
+        verdict = verify_witness_for_set(instance, table, candidates, members)
         certified = sorted(set(members)) if verdict.holds else []
         verdict_doc = verdict_json(verdict)
         failure = f"witness check failed: {verdict.failed_condition}"
     else:
-        certified = _Conditions(loaded.instance, table, candidates).certified()
+        certified = _Conditions(instance, table, candidates).certified()
         verdict_doc = (
             {"holds": True} if certified
             else {"holds": False, "reason": "witness certifies no candidate"}

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import ConeNotPointed, ConeNotSolid, DimensionMismatch, NotARational
-from .reports import AxiomCheck, AxiomReport
+
+if TYPE_CHECKING:  # imported by check_cone_axioms, which only `verify` runs
+    from .reports import AxiomReport
 
 RationalLike = Union[Fraction, int, str]
 
@@ -514,6 +516,8 @@ def check_cone_axioms(cone: PolyhedralCone) -> AxiomReport:
     an intersection of halfspaces and is reported without a check;
     pointedness is decided via the rank of the row matrix.
     """
+    from .reports import AxiomCheck, AxiomReport
+
     # C1: a nonzero member (closedness holds by construction, not tested)
     nonzero = _nonzero_member(cone)
     trivial = nonzero is None

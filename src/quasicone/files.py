@@ -109,10 +109,11 @@ def _plain_table(entries: list, known: set, dimension: int) -> dict | None:
     values = list(map(_value, entries))
     if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {dimension}):
         return None
+    sources, targets = list(map(_from, entries)), list(map(_to, entries))
     try:
         if not (
-            known.issuperset(map(_from, entries))
-            and known.issuperset(map(_to, entries))
+            known.issuperset(sources)
+            and known.issuperset(targets)
             # a dict, not a set: it visits the literals in the order they were
             # decoded, so in memory order; a set's hash order made the matches
             # on a table of all-distinct literals about twice as slow
@@ -121,7 +122,7 @@ def _plain_table(entries: list, known: set, dimension: int) -> dict | None:
             return None
     except TypeError:  # an unhashable label or literal, or a literal that is not a string
         return None
-    table = dict(zip(zip(map(_from, entries), map(_to, entries)), map(tuple, values)))
+    table = dict(zip(zip(sources, targets), map(tuple, values)))
     return table if len(table) == len(entries) else None
 
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .cones import OrderedSpace, RationalLike, Vec, as_rational, format_rational, plain_value, project
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
-from .reports import AxiomCheck, AxiomReport
+
+if TYPE_CHECKING:  # imported by verify_axioms, which only `verify` runs
+    from .reports import AxiomReport
 
 Label = str
 
@@ -337,6 +339,8 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
     The triangle pass covers all |Q|^3 ordered triples; each failing
     check reports its first counterexample in ground-set order.
     """
+    from .reports import AxiomCheck, AxiomReport
+
     labels = instance.points
     n = len(labels)
     images = project(

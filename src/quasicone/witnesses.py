@@ -94,8 +94,9 @@ def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class _Conditions:
     """The three conditions for every anchor in one candidate set.
 
-    The constructor checks its inputs: q and the candidates must be
-    points (``UnknownLabel``), and the table must cover every ground-set
+    The constructor checks its inputs: q, the candidates and every label
+    of f must be points (``UnknownLabel``, naming the first label of f in
+    its own order that is not), and the table must cover every ground-set
     point (``ValueError``) at the space's dimension (``DimensionMismatch``).
     f and the distance row over the candidates are then projected once, in
     one call so that their images share a scale; each anchor is decided
@@ -107,6 +108,7 @@ class _Conditions:
         instance.require_points([witness.q])
         self.candidates = candidates = sorted(set(candidates))
         instance.require_points(candidates)
+        instance.require_points(witness.f)
         for x in instance.points:
             if x not in witness.f:
                 raise ValueError(f"witness table does not cover ground-set point {x!r}")

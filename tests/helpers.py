@@ -109,3 +109,35 @@ def axiom_tables(draw, ties: bool = False):
         for s in labels
     }
     return QcmInstance(space, labels, table)
+
+
+def regime_best(kind: str, coords: dict, candidates, q: str, alpha=None) -> list[str]:
+    """The forward best set of ``q`` among ``candidates`` by the paper's case
+    analysis of Example 3 (``kind`` "example3") or Example 4 ("example4",
+    slack parameter ``alpha``); ``coords`` maps each label to its coordinate.
+    A test-side copy of the benchmark oracle's analysis, so that the
+    benchmark does not depend on the tests."""
+    x = coords[q]
+    below = [h for h in candidates if coords[h] < x]
+    above = [h for h in candidates if coords[h] > x]
+    if kind == "example3":
+        # d is 0 at q itself, (1, 0) below it and (0, 1) above it
+        if q in candidates:
+            return [q]
+        return [] if below and above else sorted(candidates)
+    lower = [h for h in candidates if coords[h] <= x]
+    if not lower:
+        return sorted(candidates)  # every distance is (alpha, 1)
+    nearest = max(lower, key=lambda h: coords[h])
+    t = x - coords[nearest]  # d(q, nearest) = (t, alpha t)
+    if not above:
+        return [nearest]
+    chain_first = t <= alpha and alpha * t <= 1
+    flat_first = alpha <= t and 1 <= alpha * t
+    if chain_first and flat_first:
+        return sorted([nearest, *above])
+    if chain_first:
+        return [nearest]
+    if flat_first:
+        return sorted(above)
+    return []

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
@@ -25,7 +25,8 @@ from quasicone import (
 )
 from quasicone import approximation
 from helpers import (
-    axiom_tables, rational_grid, random_query, random_table_instance, seeded_instances,
+    axiom_tables, rational_grid, random_query, random_table_instance, regime_best,
+    seeded_instances,
 )
 
 H_GRID = rational_grid(0, 2, "1/4")
@@ -40,6 +41,41 @@ def alpha_instance_with_query(beta, alpha=1):
         points.append((str(beta), beta))
     instance = build_example4(points, alpha)
     return instance, Query(str(beta), H_LABELS, FORWARD)
+
+
+@st.composite
+def regime_cases(draw):
+    """An Example 3 or 4 grid with random coordinate denominators and a
+    random alpha, and a query point below the grid, on a grid point,
+    between two grid points or above the grid: (kind, points, alpha, q,
+    place). The query point is labeled "q" unless it is a grid point."""
+    kind = draw(st.sampled_from(["example3", "example4"]))
+    # alpha = 1 is the one value at which both regimes of Example 4 can tie
+    alpha = draw(st.one_of(
+        st.just(Fraction(1)),
+        st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+    ))
+    step = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+    grid = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))]
+    for gap in draw(st.lists(step, min_size=1, max_size=6)):
+        grid.append(grid[-1] + gap)
+    place = draw(st.sampled_from(["below", "on", "between", "above"]))
+    if place == "on":
+        points = [(f"h{i}", value) for i, value in enumerate(grid)]
+        return kind, points, alpha, draw(st.sampled_from(points))[0], place
+    if place == "below":
+        x = grid[0] - draw(step)
+    elif place == "above":
+        x = grid[-1] + draw(step)
+    else:
+        # x is t past grid point i, and the points above it move up by t; a
+        # t of alpha or 1/alpha puts x on a boundary of Example 4's regimes
+        i = draw(st.integers(0, len(grid) - 2))
+        t = draw(st.one_of(st.sampled_from([alpha, 1 / alpha]), step))
+        x = grid[i] + t
+        grid = grid[: i + 1] + [value + t for value in grid[i + 1 :]]
+    points = [(f"h{i}", value) for i, value in enumerate(grid)]
+    return kind, [*points, ("q", x)], alpha, "q", place
 
 
 class TestWorkedRegimes:
@@ -68,6 +104,21 @@ class TestWorkedRegimes:
         result = best_approximation_set(instance, Query("4", candidates, FORWARD))
         assert result.best == candidates
         assert result.common_distance == Vec.of(1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(regime_cases())
+    def test_best_set_equals_the_regime_analysis(self, case):
+        kind, points, alpha, q, place = case
+        candidates = frozenset(label for label, _ in points if label != "q")
+        if kind == "example3":
+            instance = build_example3(points)
+        else:
+            instance = build_example4(points, alpha)
+        best = sorted(best_approximation_set(instance, Query(q, candidates, FORWARD)).best)
+        expected = regime_best(kind, dict(points), candidates, q, alpha)
+        size = len(expected) if len(expected) < 2 else "two or more"
+        event(f"{kind}, query {place}: best set of {size}")
+        assert best == expected
 
 
 def explicit(entries, labels, dim=2):

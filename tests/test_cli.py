@@ -209,6 +209,27 @@ class TestWitnessCommand:
             assert f"error: {wpath}: {field}: unknown point label 'ghost'" in result.stderr
             assert result.stdout == ""
 
+    def test_witness_without_an_entry_for_a_point_is_3(self, beta_files):
+        path, wpath = beta_files
+        doc = json.loads(wpath.read_text())
+        assert doc["f"][0][0] == "0"
+        del doc["f"][0]
+        wpath.write_text(json.dumps(doc))
+        result = run("witness", path, "--mode", "check", "--witness-path", wpath)
+        assert result.exit_code == 3, result.output
+        assert f"error: {wpath}: witness.f: no entry for point '0'\n" in result.stderr
+        assert result.stdout == ""
+
+    def test_witness_vector_of_the_wrong_length_is_2(self, beta_files):
+        path, wpath = beta_files
+        doc = json.loads(wpath.read_text())
+        doc["f"][0][1] = ["0"]
+        wpath.write_text(json.dumps(doc))
+        result = run("witness", path, "--mode", "check", "--witness-path", wpath)
+        assert result.exit_code == 2, result.output
+        assert f"error: {wpath}: witness.f[0][1]: expected 2 coordinates, got 1\n" in result.stderr
+        assert result.stdout == ""
+
     def test_bad_witness_direction_is_2(self, beta_files):
         path, wpath = beta_files
         doc = json.loads(wpath.read_text())

@@ -1,6 +1,7 @@
 """The import contract: importing the package loads no submodule, each CLI
-command loads only the modules it runs, and every public name resolves,
-on first read, to the object in its home module."""
+command loads only the modules it runs, every public name resolves, on
+first read, to the object in its home module, and only the CLI program
+run as ``__main__`` turns the cyclic garbage collector off."""
 import importlib
 import inspect
 import os
@@ -19,20 +20,27 @@ from quasicone.cli import main
 SRC = Path(quasicone.__file__).parents[1]
 
 # what every command loads to read an instance file
-SHARED = {"cones", "errors", "files", "metric", "reports"}
+SHARED = {"cones", "errors", "files", "metric"}
+
+
+def run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``python ARGS`` on this tree's package,
+    which must exit 0."""
+    result = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=60, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 def loaded_submodules(*args: str, cwd: Path) -> set[str]:
     """The quasicone submodules that a fresh interpreter imports to run
     ``python ARGS``, read from ``-X importtime``. ``python -m quasicone.cli``
     runs the CLI module as ``__main__``, so it is never listed."""
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        capture_output=True, text=True, timeout=60, cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-    )
-    assert result.returncode == 0, result.stderr
-    return set(re.findall(r"^import time:.*\|\s*quasicone\.(\w+)$", result.stderr, re.M))
+    stderr = run_python("-X", "importtime", *args, cwd=cwd).stderr
+    return set(re.findall(r"^import time:.*\|\s*quasicone\.(\w+)$", stderr, re.M))
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +59,7 @@ def workdir(tmp_path_factory):
 @pytest.mark.parametrize(
     "args,own",
     [
-        (["verify", "ex.json"], set()),
+        (["verify", "ex.json"], {"reports"}),
         (["approx", "ex.json"], {"approximation"}),
         (["classify", "ex.json"], {"approximation", "chebyshev"}),
         (["witness", "ex.json", "--mode", "emit", "--witness-path", "emitted.json"], {"witnesses"}),
@@ -62,6 +70,37 @@ def workdir(tmp_path_factory):
 )
 def test_each_command_loads_only_its_modules(workdir, args, own):
     assert loaded_submodules("-m", "quasicone.cli", *args, cwd=workdir) == SHARED | own
+
+
+def test_the_cli_program_runs_without_the_collector(workdir):
+    # runpy runs the module as __main__, as `python -m quasicone.cli` does,
+    # and the exit hook reads the collector after the command has exited
+    out = run_python(
+        "-c",
+        "import atexit, gc, runpy, sys\n"
+        "print('before:', gc.isenabled())\n"
+        "atexit.register(lambda: print('at exit:', gc.isenabled()))\n"
+        "sys.argv = ['quasicone', 'approx', 'ex.json']\n"
+        "runpy.run_module('quasicone.cli', run_name='__main__', alter_sys=True)\n",
+        cwd=workdir,
+    ).stdout
+    assert out.startswith("before: True\n")
+    assert out.endswith("at exit: False\n")
+
+
+def test_importing_the_cli_leaves_the_collector_on(workdir):
+    out = run_python(
+        "-c",
+        "import gc\n"
+        "from click.testing import CliRunner\n"
+        "from quasicone.cli import main\n"
+        "print(gc.isenabled())\n"
+        "runner = CliRunner()\n"
+        "for args in (['approx', 'ex.json'], ['approx', 'ex.json', '--query', '9']):\n"
+        "    print(runner.invoke(main, args).exit_code, gc.isenabled())\n",
+        cwd=workdir,
+    ).stdout
+    assert out == "True\n0 True\n3 True\n"
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -16,6 +16,7 @@ from quasicone import (
     QcmInstance,
     SHIFT_NOT_IN_CONE,
     Query,
+    UnknownLabel,
     Vec,
     WitnessTable,
     best_approximation_set,
@@ -141,6 +142,17 @@ class TestElementVerification:
         ragged = WitnessTable("5", FORWARD, {**w.f, "5": Vec.of(0, 0, 0)})
         with pytest.raises(DimensionMismatch, match="witness value for '5' has dimension 3"):
             verify_witness_for_element(instance, ragged, H_LABELS, "2")
+
+    def test_label_of_f_that_is_not_a_point(self):
+        instance = build_example4([("0", 0), ("1", 1), ("2", 2)], 1)
+        canonical = canonical_witness(instance, "1")
+        table = WitnessTable("1", FORWARD, {**canonical.f, "ghost": Vec.of(5, 5)})
+        with pytest.raises(UnknownLabel, match="unknown point label 'ghost'"):
+            verify_witness_for_set(instance, table, ["0", "1", "2"], ["1"])
+        # the first such label in the order of f is named
+        table = WitnessTable("1", FORWARD, {"spook": Vec.of(1, 1), **table.f})
+        with pytest.raises(UnknownLabel, match="'spook'"):
+            verify_witness_for_element(instance, table, ["0", "1", "2"], "1")
 
 
 class TestSetVerification:
