@@ -13,8 +13,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from itertools import repeat
 from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import ConeNotPointed, ConeNotSolid, DimensionMismatch, NotARational
@@ -92,6 +93,16 @@ def plain_value(literal: str | Fraction) -> Fraction:
     if denominator:
         return Fraction(int(numerator), int(denominator))
     return Fraction(int(numerator))
+
+
+def _literal_parts(literal: str | Fraction) -> tuple[int, int]:
+    """The numerator and denominator of a string that matches
+    ``PLAIN_LITERAL``, as written (so not always in lowest terms), or of a
+    ``Fraction``."""
+    if literal.__class__ is Fraction:
+        return literal.numerator, literal.denominator
+    numerator, _, denominator = literal.partition("/")
+    return int(numerator), int(denominator or 1)
 
 
 def _decimal(n: int) -> str:
@@ -467,27 +478,49 @@ def project(cone: PolyhedralCone, vecs: Sequence[Vec]) -> list[tuple[int, ...]]:
     For a pointed cone K = {x : A x >= 0} the row matrix A is injective,
     so s <= r in the cone order exactly when A s <= A r componentwise,
     and s == r exactly when the images are equal. Every vector is put on
-    one integer grid per axis, then each row is scaled by the lcm of its
-    denominators on that grid: image coordinate k is a_k . x times one
-    positive factor shared by the whole list. Images from one call
-    therefore compare, add and subtract exactly like the vectors; images
-    from different calls must not be mixed.
+    one integer grid per axis, then each row is applied by ``_row_images``:
+    image coordinate k is a_k . x times one positive factor shared by the
+    whole list. Images from one call therefore compare, add and subtract
+    exactly like the vectors. Images from two calls can have different
+    factors, so they are compared only through the vectors; within one
+    instance, ``QcmInstance._images`` puts the whole table on one scale.
     """
     dim = cone.dimension
     if any(v.dimension != dim for v in vecs):
         raise DimensionMismatch(f"every vector must have the cone's dimension {dim}")
-    axis = [reduce(lcm, (v.coords[j].denominator for v in vecs), 1) for j in range(dim)]
-    weights = []
+    return list(zip(*_row_images(cone, *_vec_grid(vecs, dim))))
+
+
+def _vec_grid(vecs: Sequence[Vec], dimension: int) -> tuple[list[int], list[list[int]]]:
+    """Per axis, the lcm of the vectors' denominators and the column of
+    their coordinates times that lcm, in the form ``_row_images`` takes."""
+    columns = [[v.coords[j] for v in vecs] for j in range(dimension)]
+    axis = [lcm(*{c.denominator for c in column}) for column in columns]
+    return axis, [
+        [c.numerator * (d // c.denominator) for c in column] for column, d in zip(columns, axis)
+    ]
+
+
+def _row_images(
+    cone: PolyhedralCone, axis: Sequence[int], columns: Sequence[Sequence[int]]
+) -> list[Sequence[int]]:
+    """Per cone row, the images of the vectors that ``columns`` holds one
+    axis at a time, on the grid that ``axis`` gives: column j holds
+    axis[j] * c * x_j for every vector x and one positive c shared by all
+    of them. Row k is scaled by the lcm of its denominators on that grid,
+    so image k of x is a_k . x times one positive factor per row. A row
+    that is one axis with weight 1 returns that column itself."""
+    images = []
     for row in cone.rows:
         on_grid = [a / d for a, d in zip(row, axis)]
-        scale = reduce(lcm, (c.denominator for c in on_grid), 1)
-        weights.append(
-            [(j, c.numerator * (scale // c.denominator)) for j, c in enumerate(on_grid) if c]
-        )
-    grid = [
-        [c.numerator * (d // c.denominator) for c, d in zip(v.coords, axis)] for v in vecs
-    ]
-    return [tuple(sum(w * x[j] for j, w in row) for row in weights) for x in grid]
+        scale = lcm(*{c.denominator for c in on_grid})
+        terms = []
+        for c, column in zip(on_grid, columns):
+            if c:
+                w = c.numerator * (scale // c.denominator)
+                terms.append(column if w == 1 else list(map(mul, column, repeat(w))))
+        images.append(terms[0] if len(terms) == 1 else list(map(sum, zip(*terms))))
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,25 @@ from a file keeps its literals, and its reader converts an entry on the
 first read into the store. The two closed-form generators (a two-valued
 direction metric over Q^2 and a slack metric with a positive parameter
 alpha) keep nothing: their reader evaluates the closed form. So a query
-pays only for the entries it reads. An exhaustive axiom checker decides
-every ordered pair and triple on one integer projection of the table.
+pays only for the entries it reads. The exhaustive axiom checker instead
+reads the whole table at once as integer images, one positive scale per
+cone row: a closed form from its coordinates on one integer grid, a file
+table from its literals' numerators, and only a store of ``Vec``s through
+``project``. It checks the triangle inequality on bit-packed rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from math import lcm
+from operator import and_, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .cones import OrderedSpace, RationalLike, Vec, as_rational, format_rational, plain_value, project
+from .cones import (
+    OrderedSpace, RationalLike, Vec, _literal_parts, _row_images, _vec_grid, as_rational,
+    format_rational, plain_value,
+)
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
 
 if TYPE_CHECKING:  # imported by verify_axioms, which only `verify` runs
@@ -113,9 +122,13 @@ class QcmInstance:
                         f"space has {space.dimension}"
                     )
                 store[(r, s)] = value
-        read = None
-        if provenance.kind != EXPLICIT_TABLE:
-            read = _closed_form(provenance, points)
+        if provenance.kind == EXPLICIT_TABLE:
+            read = None
+            grid = lambda: _vec_grid(
+                [store[(r, s)] for r in points for s in points], space.dimension
+            )
+        else:
+            read, grid = _closed_form(provenance, points)
             for (r, s), value in store.items():
                 if value != read(r, s):
                     raise ValueError(
@@ -123,7 +136,7 @@ class QcmInstance:
                         f"match its generator value {read(r, s)}"
                     )
             store = {}
-        self._init(space, points, provenance, store, read)
+        self._init(space, points, provenance, store, read, grid)
 
     @classmethod
     def _on_read(
@@ -139,7 +152,7 @@ class QcmInstance:
         points = _ground_set(points)
         store: dict[tuple[Label, Label], Vec] = {}
         if literals is None:
-            read = _closed_form(provenance, points)
+            read, grid = _closed_form(provenance, points)
         elif len(literals) != len(points) ** 2:
             r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
             raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
@@ -147,16 +160,29 @@ class QcmInstance:
             def read(r: Label, s: Label) -> Vec:
                 store[(r, s)] = value = Vec._trusted(tuple(map(plain_value, literals[(r, s)])))
                 return value
+
+            grid = lambda: _literal_grid(
+                [literals[(r, s)] for r in points for s in points], space.dimension
+            )
         instance = cls.__new__(cls)
-        instance._init(space, points, provenance, store, read)
+        instance._init(space, points, provenance, store, read, grid)
         return instance
 
-    def _init(self, space, points, provenance, store, read) -> None:
+    def _init(self, space, points, provenance, store, read, grid) -> None:
         """``read`` answers the points' pairs the store misses; it is None
-        when the store holds every entry."""
+        when the store holds every entry. ``grid`` gives the whole table on
+        one integer grid per axis, in the form ``cones._row_images`` takes."""
         self._space, self._points, self._provenance = space, points, provenance
         self._label_set = frozenset(points)
-        self._store, self._read = store, read
+        self._store, self._read, self._grid = store, read, grid
+
+    def _images(self) -> list[Sequence[int]]:
+        """Per cone row k, the integer images of all n^2 entries in
+        row-major order: the image of d(r, s) is c_k * (a_k . d(r, s)) for
+        one positive c_k per row, so each row's images compare, add and
+        subtract exactly like the values a_k . d(r, s). A closed form or a
+        file table builds no ``Vec``; a table of ``Vec``s is projected."""
+        return _row_images(self._space.cone, *self._grid())
 
     @property
     def space(self) -> OrderedSpace:
@@ -247,12 +273,14 @@ def _is_rational(value) -> bool:
 
 def _closed_form(
     provenance: Provenance, points: Sequence[Label]
-) -> Callable[[Label, Label], Vec]:
-    """The reader of a generator provenance: its closed form at the two
-    points' coordinates. A provenance that cannot give every entry over
-    ``points`` raises a ``ValueError`` that names its field, and the first
-    point (in the order of ``points``) at the coordinate of an earlier one
-    a ``DuplicateLabel``. The builders and the file parser rely on this."""
+) -> tuple[Callable[[Label, Label], Vec], Callable[[], tuple]]:
+    """The reader of a generator provenance, its closed form at the two
+    points' coordinates, and its grid, the whole table in the form
+    ``cones._row_images`` takes. A provenance that cannot give every entry
+    over ``points`` raises a ``ValueError`` that names its field, and the
+    first point (in the order of ``points``) at the coordinate of an
+    earlier one a ``DuplicateLabel``. The builders and the file parser rely
+    on this."""
     kind, alpha = provenance.kind, provenance.alpha
     if kind not in (DIRECTION_METRIC, ALPHA_METRIC):
         raise ValueError(
@@ -279,29 +307,74 @@ def _closed_form(
             f"{format_rational(values[i])}; distinct points at equal coordinates would get "
             "distance zero"
         )
+
+    def columns():
+        # the coordinates on one integer grid: X = L x for the lcm L of their denominators
+        scale = lcm(*{x.denominator for x in values})
+        grid = [x.numerator * (scale // x.denominator) for x in values]
+        if kind == DIRECTION_METRIC:  # the entries themselves: (0, 0), (1, 0) or (0, 1)
+            return (1, 1), [
+                [int(r > s) for r in grid for s in grid],
+                [int(r < s) for r in grid for s in grid],
+            ]
+        # with alpha = a/b, every entry times b L: (b(X_r - X_s), a(X_r - X_s))
+        # when X_r >= X_s, else (a L, b L)
+        a, b = alpha.numerator, alpha.denominator
+        flat_a, flat_b = a * scale, b * scale
+        return (1, 1), [
+            [b * (r - s) if r >= s else flat_a for r in grid for s in grid],
+            [a * (r - s) if r >= s else flat_b for r in grid for s in grid],
+        ]
+
     if kind == DIRECTION_METRIC:
-        return lambda r, s: direction_distance(coords[r], coords[s])
-    return lambda r, s: alpha_distance(coords[r], coords[s], alpha)
+        return (lambda r, s: direction_distance(coords[r], coords[s])), columns
+    return (lambda r, s: alpha_distance(coords[r], coords[s], alpha)), columns
+
+
+def _literal_grid(
+    entries: list[tuple[str | Fraction, ...]], dimension: int
+) -> tuple[list[int], list[list[int]]]:
+    """Per axis, the lcm of the denominators of the entries' literals and
+    the column of their values times that lcm, in the form
+    ``cones._row_images`` takes. Each distinct literal is split once, and
+    no ``Fraction`` is made."""
+    axis, columns = [], []
+    for j in range(dimension):
+        column = [entry[j] for entry in entries]
+        parts = {literal: _literal_parts(literal) for literal in dict.fromkeys(column)}
+        scale = lcm(*{q for _, q in parts.values()})
+        value = {literal: p * (scale // q) for literal, (p, q) in parts.items()}
+        axis.append(scale)
+        columns.append(list(map(value.__getitem__, column)))
+    return axis, columns
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_DIRECTION_VALUES = tuple(Vec._trusted(c) for c in ((_ZERO, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE)))
 
 
 def direction_distance(r: Fraction, s: Fraction) -> Vec:
     """Two-valued direction metric on rational coordinates.
 
     Zero on the diagonal, (1, 0) when the first argument is larger,
-    (0, 1) when it is smaller. Only the sign of r - s matters.
+    (0, 1) when it is smaller. Only the sign of r - s matters. The three
+    values are shared ``Vec``s, which are immutable.
     """
+    zero, east, north = _DIRECTION_VALUES
     if r == s:
-        return Vec.of(0, 0)
-    if r > s:
-        return Vec.of(1, 0)
-    return Vec.of(0, 1)
+        return zero
+    return east if r > s else north
 
 
 def alpha_distance(r: Fraction, s: Fraction, alpha: Fraction) -> Vec:
-    """Slack metric: (r - s, alpha*(r - s)) when r >= s, else (alpha, 1)."""
+    """Slack metric: (r - s, alpha*(r - s)) when r >= s, else (alpha, 1).
+    Each argument is coerced once, so int arguments give ``Fraction``
+    coordinates."""
+    r, s, alpha = as_rational(r), as_rational(s), as_rational(alpha)
     if r >= s:
-        return Vec.of(r - s, alpha * (r - s))
-    return Vec.of(alpha, 1)
+        t = r - s
+        return Vec._trusted((t, alpha * t))
+    return Vec._trusted((alpha, _ONE))
 
 
 def build_example3(points: Sequence[tuple[Label, RationalLike]]) -> QcmInstance:
@@ -334,29 +407,30 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
     """Exhaustively check nonnegativity, identity of indiscernibles, and
     the triangle inequality over the whole ground set.
 
-    The whole table is projected once through the cone rows (see
-    ``project``), so every order question below is an integer comparison.
-    The triangle pass covers all |Q|^3 ordered triples; each failing
-    check reports its first counterexample in ground-set order.
+    The whole table is read once as integer images, one positive factor
+    per cone row (``QcmInstance._images``), so every order question below
+    is an exact integer comparison; a ``Vec`` is built only for a
+    counterexample. The triangle pass covers all |Q|^3 ordered triples,
+    on bit-packed rows (``_first_triangle_failure``); each failing check
+    reports its first counterexample in ground-set order.
     """
     from .reports import AxiomCheck, AxiomReport
 
     labels = instance.points
     n = len(labels)
-    images = project(
-        instance.space.cone, [instance.distance(r, s) for r in labels for s in labels]
-    )
-    zero = (0,) * len(instance.space.cone.rows)
+    images = instance._images()
 
     nonneg_counter = None
-    k = next((k for k, p in enumerate(images) if min(p) < 0), None)
-    if k is not None:
+    if min(map(min, images)) < 0:
+        k = next(k for k in range(n * n) if any(image[k] < 0 for image in images))
         r, s = labels[k // n], labels[k % n]
         nonneg_counter = {"pair": (r, s), "value": instance.distance(r, s)}
 
     identity_counter = None
-    k = next((k for k, p in enumerate(images) if (k // n == k % n) != (p == zero)), None)
-    if k is not None:
+    nonzero = list(map(any, zip(*images)))
+    # passes when exactly the n diagonal entries are zero
+    if nonzero.count(False) != n or any(nonzero[:: n + 1]):
+        k = next(k for k, p in enumerate(nonzero) if (k // n == k % n) == p)
         r, s = labels[k // n], labels[k % n]
         identity_counter = {
             "pair": (r, s),
@@ -382,26 +456,79 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
     return AxiomReport(checks)
 
 
+# Lanes wider than this many bits fall back to the scan: see _first_packed_pair
+_MAX_LANE_BITS = 128
+
+
 def _first_triangle_failure(
-    images: list[tuple[int, ...]], n: int
+    images: Sequence[Sequence[int]], n: int
 ) -> tuple[int, int, int] | None:
     """First (i, j, l) in ground-set order with P(i,l) <= P(i,j) + P(j,l)
-    failing in some projected coordinate, where P(i,j) = images[i*n + j]."""
-    tables = [
-        [[p[k] for p in images[i * n : (i + 1) * n]] for i in range(n)]
-        for k in range(len(images[0]))
-    ]
+    failing for some row's table P, where P(i,j) = image[i*n + j] and
+    ``images`` holds one image list per cone row. The first pair (i, j)
+    comes from the packed pass, or from the scan when some row needs
+    lanes wider than ``_MAX_LANE_BITS``; l from a scan of that pair."""
+    tables = [[image[i * n : (i + 1) * n] for i in range(n)] for image in images]
+    bounds = [max(map(abs, image)) for image in images]
+    widths = [(3 * m + 1).bit_length() + 1 for m in bounds]
+    if max(widths) <= _MAX_LANE_BITS:
+        pair = _first_packed_pair(tables, bounds, widths)
+    else:
+        pair = _first_scanned_pair(tables)
+    if pair is None:
+        return None
+    i, j = pair
+    l = next(l for l in range(n) if any(t[i][l] > t[i][j] + t[j][l] for t in tables))
+    return i, j, l
+
+
+def _first_packed_pair(
+    tables: list[list[Sequence[int]]], bounds: list[int], widths: list[int]
+) -> tuple[int, int] | None:
+    """The first (i, j) for which some l fails the triangle inequality, with
+    every table row packed into one int ("SIMD within a register";
+    Lamport, CACM 18(8), 1975). For a table P with |P| <= M and lanes of
+    B = bit_length(3M + 1) + 1 bits, lane l of ``down[j]`` holds
+    P(j,l) + M and lane l of ``up[i]`` holds P(i,l) + M + 2^(B-1) - 1.
+    Lane l of up[i] - down[j] - P(i,j) * ones is then
+    2^(B-1) - 1 + P(i,l) - P(i,j) - P(j,l), which lies in [0, 2^B), so no
+    lane borrows from the next, and its top bit is set exactly when
+    P(i,l) > P(i,j) + P(j,l). A row packs through one binary string, in
+    time linear in its bits. Each pair costs a few operations on ints of
+    n*B bits, where the scan makes n comparisons; at lanes past
+    ``_MAX_LANE_BITS`` the scan is faster."""
+    n = len(tables[0])
+    packs = []
+    for table, m, width in zip(tables, bounds, widths):
+        lane = f"0{width}b"
+        down = [
+            int("".join(map(format, map(m.__add__, reversed(row)), repeat(lane))), 2)
+            for row in table
+        ]
+        ones = int("1".zfill(width) * n, 2)
+        lift = ((1 << (width - 1)) - 1) * ones
+        packs.append((table, down, lift, ones, ones << (width - 1)))
+    for i in range(n):
+        first = n  # the first j with a hit so far, over the rows
+        for table, down, lift, ones, tops in packs:
+            up = down[i] + lift
+            excess = map(sub, map(sub, repeat(up), down), map(mul, table[i], repeat(ones)))
+            first = next(compress(range(first), map(and_, excess, repeat(tops))), first)
+        if first < n:
+            return i, first
+    return None
+
+
+def _first_scanned_pair(tables: list[list[Sequence[int]]]) -> tuple[int, int] | None:
+    """The first (i, j) for which some l fails the triangle inequality,
+    by comparing the entries themselves."""
+    n = len(tables[0])
     for i in range(n):
         for j in range(n):
             for table in tables:
                 via = table[i][j]
                 if not all(direct <= via + onward for direct, onward in zip(table[i], table[j])):
-                    l = next(
-                        l
-                        for l in range(n)
-                        if any(t[i][l] > t[i][j] + t[j][l] for t in tables)
-                    )
-                    return i, j, l
+                    return i, j
     return None
 
 

@@ -516,6 +516,42 @@ class TestExitCodes:
             assert run("verify", "--seed", seed, ray_cone_file).stdout == result.stdout
 
 
+class TestVerifyCost:
+    def test_coprime_denominator_table_verifies_in_time(self, tmp_path):
+        # every off-diagonal entry (p+1)/p has its own prime p, so the lcm of
+        # the denominators has thousands of bits, and the triangle pass must
+        # not pack lanes that wide; a subprocess, so that a slow pass fails
+        # on the timeout
+        n = 60
+        sieve = bytearray([1]) * 40_000
+        sieve[:2] = b"\0\0"
+        for k in range(2, 200):
+            if sieve[k]:
+                sieve[k * k :: k] = bytes(len(sieve[k * k :: k]))
+        primes = iter(k for k, is_prime in enumerate(sieve) if is_prime)
+        labels = [f"x{i}" for i in range(n)]
+        entries = []
+        for r in labels:
+            for s in labels:
+                p = next(primes) if r != s else None
+                entries.append([r, s, ["0" if p is None else f"{p + 1}/{p}"]])
+        doc = {
+            "space": {"dimension": 1, "rows": [["1"]]},
+            "points": labels,
+            "metric": {"kind": "table", "entries": entries},
+        }
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps(doc))
+        src = Path(quasicone.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "quasicone.cli", "verify", str(path)],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["passed"]
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", [["verify", "--seed", "7"], ["approx"], ["classify"]])
     def test_reports_byte_identical(self, slack_file, tmp_path, command):

@@ -3,12 +3,14 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasicone import (
     DimensionMismatch,
     DuplicateLabel,
     OrderedSpace,
+    PolyhedralCone,
     QcmInstance,
     Query,
     Vec,
@@ -16,11 +18,14 @@ from quasicone import (
     build_example3,
     build_example4,
     canonical_witness,
+    exact_rank,
     transpose,
     verify_axioms,
 )
 from quasicone import metric
-from helpers import axiom_tables, rational_grid
+from quasicone.cones import project
+from quasicone.files import instance_json, parse_instance
+from helpers import axiom_tables, rational_grid, vectors
 
 
 class TestDirectionMetric:
@@ -181,6 +186,97 @@ class TestEntriesReadOnDemand:
         assert verify_axioms(inst) == verify_axioms(explicit)
 
 
+def vec_copy(instance):
+    """The same table as an explicit store of ``Vec``s."""
+    table = {(r, s): v for r, s, v in instance.entries()}
+    return QcmInstance(instance.space, instance.points, table)
+
+
+def assert_images_are_positive_multiples(instance):
+    """Each cone row of ``_images`` is one positive multiple of the same row
+    of ``project`` over the table's ``Vec``s."""
+    labels = instance.points
+    vecs = [instance.distance(r, s) for r in labels for s in labels]
+    projected = project(instance.space.cone, vecs)
+    images = instance._images()
+    assert len(images) == len(instance.space.cone.rows)
+    for image, base in zip(images, zip(*projected)):
+        assert len(image) == len(base)
+        assert all((a == 0) == (b == 0) for a, b in zip(image, base))
+        ratios = {Fraction(a, b) for a, b in zip(image, base) if b}
+        assert len(ratios) <= 1 and all(ratio > 0 for ratio in ratios)
+
+
+@st.composite
+def example_instances(draw):
+    """Example 3 or 4 over up to 8 distinct coordinates, in no particular
+    order, with random denominators, and alpha = 1 among the alphas. Some
+    are moved to a random pointed cone in Q^2 through the public
+    constructor, which keeps the closed form as the reader."""
+    denominators = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    coordinate = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(denominators))
+    values = draw(st.lists(coordinate, min_size=1, max_size=8, unique=True))
+    points = [(f"x{i}", v) for i, v in enumerate(values)]
+    if draw(st.booleans()):
+        instance = build_example3(points)
+    else:
+        alpha = draw(st.one_of(
+            st.just(1), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+        ))
+        instance = build_example4(points, alpha)
+    if draw(st.booleans()):
+        rows = draw(st.lists(vectors(2), min_size=2, max_size=4))
+        assume(not any(row.is_zero for row in rows) and exact_rank(rows) == 2)
+        space = OrderedSpace(2, PolyhedralCone(2, tuple(rows)))
+        table = {(r, s): v for r, s, v in instance.entries()}
+        instance = QcmInstance(space, instance.points, table, instance.provenance)
+    return instance
+
+
+def respell(literal, how, k):
+    """``literal`` written another way that the parser accepts: unreduced,
+    with a "+" sign, padded with spaces (not a plain literal) or as a JSON
+    number (not a string)."""
+    value = Fraction(literal)
+    if how == "unreduced":
+        return f"{k * value.numerator}/{k * value.denominator}"
+    if how == "signed":
+        return literal if literal.startswith("-") else "+" + literal
+    if how == "padded":
+        return f" {literal} "
+    if how == "number" and value.denominator == 1:
+        return value.numerator
+    return literal
+
+
+@st.composite
+def file_tables(draw):
+    """A random explicit table, written by ``instance_json`` with its literals
+    respelled, and read back by ``parse_instance``. A table without padded
+    or number literals takes the whole-table passes, and one with them the
+    per-entry loop, which keeps those literals as ``Fraction``s."""
+    doc = instance_json(draw(axiom_tables()))
+    ways = st.sampled_from(["plain", "unreduced", "signed", "padded", "number"])
+    spelling = st.sampled_from(sorted(draw(st.sets(ways, min_size=1))))
+    for entry in doc["metric"]["entries"]:
+        entry[2] = [respell(c, draw(spelling), draw(st.integers(2, 5))) for c in entry[2]]
+    return parse_instance(doc).instance
+
+
+class TestImages:
+    @settings(max_examples=150, deadline=None)
+    @given(example_instances())
+    def test_closed_form_images_match_the_vec_route(self, instance):
+        assert_images_are_positive_multiples(instance)
+        assert verify_axioms(instance) == verify_axioms(vec_copy(instance))
+
+    @settings(max_examples=100, deadline=None)
+    @given(file_tables())
+    def test_file_table_images_match_the_vec_route(self, instance):
+        assert_images_are_positive_multiples(instance)
+        assert verify_axioms(instance) == verify_axioms(vec_copy(instance))
+
+
 def explicit_instance(entries, dim=2):
     labels = sorted({r for r, _ in entries} | {s for _, s in entries})
     space = OrderedSpace.orthant(dim)
@@ -192,7 +288,65 @@ def explicit_instance(entries, dim=2):
     return QcmInstance(space, labels, table)
 
 
+# 3 * WIDE + 1 has more bits than metric._MAX_LANE_BITS, so the scan runs
+WIDE = 2**130
+
+
+@st.composite
+def triangle_images(draw):
+    """One image list per cone row (1 to 3) over 1 to 7 points, with
+    entries bounded by a drawn M and -M and M common. A row is noise, a
+    potential difference y_j - y_i (every triangle tight, negative
+    entries), or a metric |y_i - y_j|, whose triangles reach the lowest
+    lane value a passing row can give when M is a power of two; up to two
+    entries then move by one, which plants failures in passing rows."""
+    n = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([1, 3, 4, 1000, 1024, WIDE, 3 * WIDE]))
+    value = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, bound]))
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["noise", "potential", "metric"]))
+        if kind == "noise":
+            image = draw(st.lists(value, min_size=n * n, max_size=n * n))
+        else:
+            y = draw(st.lists(value.map(lambda v: v // 2 if kind == "potential" else abs(v)),
+                              min_size=n, max_size=n))
+            image = [b - a if kind == "potential" else abs(a - b) for a in y for b in y]
+        for k in draw(st.lists(st.integers(0, n * n - 1), max_size=2)):
+            image[k] += draw(st.sampled_from([-1, 1]))
+        images.append(image)
+    return n, images
+
+
 class TestVerifyAxioms:
+    @settings(max_examples=300, deadline=None)
+    @given(triangle_images())
+    def test_triangle_pass_matches_a_triple_loop(self, drawn):
+        n, images = drawn
+        first = next(
+            (
+                (i, j, l)
+                for i in range(n)
+                for j in range(n)
+                for l in range(n)
+                if any(p[i * n + l] > p[i * n + j] + p[j * n + l] for p in images)
+            ),
+            None,
+        )
+        assert metric._first_triangle_failure(images, n) == first
+
+    @pytest.mark.parametrize(
+        "scale,unused", [(1, "_first_scanned_pair"), (WIDE, "_first_packed_pair")]
+    )
+    def test_lane_width_selects_the_pass(self, monkeypatch, scale, unused):
+        def fail(*args):
+            raise AssertionError(f"{unused} ran")
+
+        monkeypatch.setattr(metric, unused, fail)
+        image = [scale * (i != j) for i in range(3) for j in range(3)]
+        image[2] = 3 * scale  # d(0, 2) > d(0, 1) + d(1, 2)
+        assert metric._first_triangle_failure([image], 3) == (0, 1, 2)
+
     def test_direction_metric_exhaustive(self):
         inst = build_example3(rational_grid(-2, 2, "1/2"))
         report = verify_axioms(inst)
