@@ -6,9 +6,12 @@ order is partial, such a least element need not exist; the result then
 has an empty best set and the minimal front (candidates whose distance
 nothing strictly precedes) is reported as the honest diagnostic.
 
-Every order question here is decided on integer projections of the
-distances through the cone rows (``project``), where the cone order is
-the componentwise order. Two minimal-front routines are provided: a
+Every order question here is decided on integer images of the distances
+through the cone rows, where the cone order is the componentwise order:
+a best set reads its candidates' row or column of the table as images
+from the instance (``QcmInstance._images``), and the public front
+routines project the vectors they are given (``project``). Two
+minimal-front routines are provided: a
 definitional all-pairs scan, and, for cones with at most three rows, one
 plane sweep that sorts the projected points lexicographically and keeps
 a single staircase of the minimal points seen so far (Kung, Luccio &
@@ -59,17 +62,20 @@ class ApproximationResult:
 
 def _best_indices(
     instance: QcmInstance, query: Query
-) -> tuple[list[Label], list[Vec], list[tuple[int, ...]], list[int]]:
-    """The candidates in label order, their distances and projections, and
-    the indices of the best members: those whose projection is the
-    componentwise minimum. One distance per candidate, no pairwise test."""
+) -> tuple[list[Label], list[tuple[int, ...]], list[int]]:
+    """The candidates in label order, the integer images of their
+    distances, and the indices of the best members: those whose image is
+    the componentwise minimum. The images are one block of the table, the
+    row d(q, H) forward or the column d(H, q) backward, so no ``Vec`` is
+    built and no pair is tested."""
     instance.require_points([query.q])
     instance.require_points(query.candidates)
     labels = sorted(query.candidates)
-    values = [directed_distance(instance, query.q, h, query.direction) for h in labels]
-    points = project(instance.space.cone, values)
-    floor = tuple(map(min, zip(*points)))
-    return labels, values, points, [i for i, p in enumerate(points) if p == floor]
+    block = ([query.q], labels) if query.direction == FORWARD else (labels, [query.q])
+    images = instance._images(*block)
+    points = list(zip(*images))
+    floor = tuple(map(min, images))
+    return labels, points, [i for i, p in enumerate(points) if p == floor]
 
 
 def best_approximation_set(
@@ -78,30 +84,31 @@ def best_approximation_set(
     """Compute the best-approximation set by its definition.
 
     The best set collects candidates whose distance precedes every other
-    candidate's distance; it may be empty. On the projected distances
+    candidate's distance; it may be empty. On the images of the distances
     these are exactly the candidates whose image equals the componentwise
     minimum. When it is nonempty all its members share one distance value
     (antisymmetry of the order over a pointed cone), reported as
-    ``common_distance``. The minimal front and the dominance counts add an
-    O(|H|^2) pairwise scan, which callers of ``_best_indices`` skip.
+    ``common_distance``, the one entry read as a ``Vec``. The minimal
+    front and the dominance counts add an O(|H|^2) pairwise scan, which
+    callers of ``_best_indices`` skip.
     """
-    labels, values, points, best_at = _best_indices(instance, query)
-    best = frozenset(labels[i] for i in best_at)
-    common = values[best_at[0]] if best_at else None
+    labels, points, best_at = _best_indices(instance, query)
+    best = [labels[i] for i in best_at]
+    common = directed_distance(instance, query.q, best[0], query.direction) if best else None
 
     dominated, comparable = _pairwise_scan(points)
     front = frozenset(h for h, d in zip(labels, dominated) if not d)
     total = len(labels) * (len(labels) - 1) // 2
     stats = DominanceStats(total, comparable, total - comparable)
-    return ApproximationResult(best, common, front, stats)
+    return ApproximationResult(frozenset(best), common, front, stats)
 
 
 def duality_check(instance: QcmInstance, q: Label, candidates: Iterable[Label]) -> bool:
     """Backward best set on the instance equals the forward best set on
     its transpose; both sides are computed independently, without a scan."""
     query = Query(q, candidates, BACKWARD)
-    backward = _best_indices(instance, query)[3]
-    mirrored = _best_indices(transpose(instance), Query(q, query.candidates, FORWARD))[3]
+    backward = _best_indices(instance, query)[2]
+    mirrored = _best_indices(transpose(instance), Query(q, query.candidates, FORWARD))[2]
     # both sides index the same candidates in label order
     return backward == mirrored
 

@@ -104,7 +104,7 @@ def classify(
     empties = []
     census = []
     for q in family.queries:
-        labels, _, _, best_at = _best_indices(
+        labels, _, best_at = _best_indices(
             instance, Query(q, family.candidates, family.direction)
         )
         members = [labels[i] for i in best_at]

@@ -322,6 +322,8 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     instance, where = loaded.instance, Path(witness_path)
     if not instance.has_point(table.q):
         raise UnknownLabel(f"{where}: witness.q: unknown point label {table.q!r}")
+    if table.q != query.q:
+        raise ValueError(f"{where}: witness.q: {table.q!r} is not the query point {query.q!r}")
     dimension = instance.space.dimension
     for i, (label, value) in enumerate(table.f.items()):
         if not instance.has_point(label):

@@ -355,11 +355,12 @@ class PolyhedralCone:
 
     @classmethod
     def orthant(cls, dimension: int) -> "PolyhedralCone":
+        """The nonnegative orthant, with (1, ..., 1) as its interior point."""
         rows = tuple(
             Vec(tuple(Fraction(int(i == j)) for j in range(dimension)))
             for i in range(dimension)
         )
-        return cls(dimension, rows)
+        return cls(dimension, rows, Vec((Fraction(1),) * dimension))
 
     def contains(self, x: Vec) -> bool:
         x = _as_vec(x, self.dimension)
@@ -482,8 +483,10 @@ def project(cone: PolyhedralCone, vecs: Sequence[Vec]) -> list[tuple[int, ...]]:
     image coordinate k is a_k . x times one positive factor shared by the
     whole list. Images from one call therefore compare, add and subtract
     exactly like the vectors. Images from two calls can have different
-    factors, so they are compared only through the vectors; within one
-    instance, ``QcmInstance._images`` puts the whole table on one scale.
+    factors, so they are compared only through the vectors. An instance's
+    ``QcmInstance._images`` gives a block of its table on the same terms,
+    one factor per row and call, from the table itself rather than from
+    ``Vec``s.
     """
     dim = cone.dimension
     if any(v.dimension != dim for v in vecs):

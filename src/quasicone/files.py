@@ -132,35 +132,35 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def parse_space(doc, where: str = "space") -> OrderedSpace:
+def parse_space(doc) -> OrderedSpace:
     if not isinstance(doc, dict):
-        raise _fail(where, "expected an object with 'dimension' and 'rows'")
-    dimension = _require(doc, "dimension", where)
+        raise _fail("space", "expected an object with 'dimension' and 'rows'")
+    dimension = _require(doc, "dimension", "space")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise _fail(f"{where}.dimension", f"expected a positive integer, got {dimension!r}")
-    rows_doc = _require(doc, "rows", where)
+        raise _fail("space.dimension", f"expected a positive integer, got {dimension!r}")
+    rows_doc = _require(doc, "rows", "space")
     if not isinstance(rows_doc, list) or not rows_doc:
-        raise _fail(f"{where}.rows", "expected a nonempty array of constraint rows")
+        raise _fail("space.rows", "expected a nonempty array of constraint rows")
     rows = tuple(
-        _vec(row, f"{where}.rows[{i}]", dimension) for i, row in enumerate(rows_doc)
+        _vec(row, f"space.rows[{i}]", dimension) for i, row in enumerate(rows_doc)
     )
     interior = doc.get("interior_point")
     if interior is not None:
-        interior = _vec(interior, f"{where}.interior_point", dimension)
+        interior = _vec(interior, "space.interior_point", dimension)
     try:
         cone = PolyhedralCone(dimension, rows, interior)
         return OrderedSpace(dimension, cone)
     except ValueError as exc:
-        raise _fail(where, str(exc)) from None
+        raise _fail("space", str(exc)) from None
 
 
-def _parse_points(doc, where: str = "points") -> list[tuple[Label, Fraction | None]]:
+def _parse_points(doc) -> list[tuple[Label, Fraction | None]]:
     if not isinstance(doc, list) or not doc:
-        raise _fail(where, "expected a nonempty array of points")
+        raise _fail("points", "expected a nonempty array of points")
     points = []
     seen = set()
     for i, entry in enumerate(doc):
-        spot = f"{where}[{i}]"
+        spot = f"points[{i}]"
         if isinstance(entry, str):
             label, coordinate = entry, None
         elif isinstance(entry, dict):

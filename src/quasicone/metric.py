@@ -7,17 +7,20 @@ backward problems genuinely different. A ``Query`` names a target
 point, a candidate set and a direction; ``directed_distance`` reads the
 entry a query compares, d(q, h) forward or d(h, q) backward.
 
-An instance answers d(r, s) from one store, a dict of the ``Vec``s it
-keeps, or else from one reader chosen when it is built. A table read
-from a file keeps its literals, and its reader converts an entry on the
-first read into the store. The two closed-form generators (a two-valued
-direction metric over Q^2 and a slack metric with a positive parameter
-alpha) keep nothing: their reader evaluates the closed form. So a query
-pays only for the entries it reads. The exhaustive axiom checker instead
-reads the whole table at once as integer images, one positive scale per
-cone row: a closed form from its coordinates on one integer grid, a file
-table from its literals' numerators, and only a store of ``Vec``s through
-``project``. It checks the triangle inequality on bit-packed rows.
+An instance reads its table through one reader, chosen when it is
+built, in two forms: ``distance`` gives one entry as a ``Vec``, and
+``_images`` gives a block of entries d(r, s), r in some rows and s in some
+columns, as integer images, one positive scale per cone row and call. A
+table read from a file keeps its literals and converts an entry on every
+read; its images come from the literals' numerators. The two closed-form
+generators (a two-valued direction metric over Q^2 and a slack metric
+with a positive parameter alpha) keep nothing: a read evaluates the
+closed form, and images come from the coordinates on one integer grid.
+Only a store of ``Vec``s goes through ``cones._vec_grid``, as ``project``
+does. So a query pays only for the entries it reads: a best set reads
+the one row or column of its candidates as images, and the exhaustive
+axiom checker the whole table, whose triangle inequality it checks on
+bit-packed rows.
 """
 from __future__ import annotations
 
@@ -87,18 +90,17 @@ def _ground_set(labels: Iterable[Label]) -> tuple[Label, ...]:
 class QcmInstance:
     """A finite ground set with a total cone-valued distance table.
 
-    Immutable after construction, so instances are safe to share. A read
-    of d(r, s) is a hit in the instance's store, or else a call of its
-    reader. A table passed to the constructor is the whole store; with a
+    Immutable after construction, so instances are safe to share. Every
+    read goes through the instance's reader and keeps nothing. A table of
+    ``Vec``s passed to the constructor is the reader's store; with a
     generator provenance it is instead checked against the closed form
     entry by entry and dropped, and the reader evaluates the closed form
     on every read; a provenance with an unknown kind, a missing or
     nonpositive alpha, or a missing or non-rational coordinate raises a
     ``ValueError`` that names the field, and one that puts two points at
     one coordinate raises ``DuplicateLabel``. A table that the file parser
-    built keeps its validated literals; the reader converts an entry on
-    its first read and keeps the ``Vec`` in the store. Threads that first read one entry at the same
-    time may each convert it; they keep equal values.
+    built keeps its validated literals, and the reader converts an entry
+    on every read.
     """
 
     def __init__(
@@ -123,9 +125,9 @@ class QcmInstance:
                     )
                 store[(r, s)] = value
         if provenance.kind == EXPLICIT_TABLE:
-            read = None
-            grid = lambda: _vec_grid(
-                [store[(r, s)] for r in points for s in points], space.dimension
+            read = lambda r, s: store[r, s]
+            grid = lambda rows, cols: _vec_grid(
+                [store[r, s] for r in rows for s in cols], space.dimension
             )
         else:
             read, grid = _closed_form(provenance, points)
@@ -135,8 +137,7 @@ class QcmInstance:
                         f"table entry d({r!r}, {s!r}) = {value} does not "
                         f"match its generator value {read(r, s)}"
                     )
-            store = {}
-        self._init(space, points, provenance, store, read, grid)
+        self._init(space, points, provenance, read, grid)
 
     @classmethod
     def _on_read(
@@ -150,39 +151,38 @@ class QcmInstance:
         that matches ``cones.PLAIN_LITERAL`` or a ``Fraction``. So counting
         the keys decides totality, and no conversion can fail."""
         points = _ground_set(points)
-        store: dict[tuple[Label, Label], Vec] = {}
         if literals is None:
             read, grid = _closed_form(provenance, points)
         elif len(literals) != len(points) ** 2:
             r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
             raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
         else:
-            def read(r: Label, s: Label) -> Vec:
-                store[(r, s)] = value = Vec._trusted(tuple(map(plain_value, literals[(r, s)])))
-                return value
-
-            grid = lambda: _literal_grid(
-                [literals[(r, s)] for r in points for s in points], space.dimension
+            read = lambda r, s: Vec._trusted(tuple(map(plain_value, literals[r, s])))
+            grid = lambda rows, cols: _literal_grid(
+                [literals[r, s] for r in rows for s in cols], space.dimension
             )
         instance = cls.__new__(cls)
-        instance._init(space, points, provenance, store, read, grid)
+        instance._init(space, points, provenance, read, grid)
         return instance
 
-    def _init(self, space, points, provenance, store, read, grid) -> None:
-        """``read`` answers the points' pairs the store misses; it is None
-        when the store holds every entry. ``grid`` gives the whole table on
-        one integer grid per axis, in the form ``cones._row_images`` takes."""
+    def _init(self, space, points, provenance, read, grid) -> None:
+        """``read(r, s)`` gives the entry d(r, s) of two points as a ``Vec``;
+        ``grid(rows, cols)`` gives the block of entries d(r, s), r in
+        ``rows`` and s in ``cols``, on one integer grid per axis, in the
+        form ``cones._row_images`` takes."""
         self._space, self._points, self._provenance = space, points, provenance
         self._label_set = frozenset(points)
-        self._store, self._read, self._grid = store, read, grid
+        self._read, self._grid = read, grid
 
-    def _images(self) -> list[Sequence[int]]:
-        """Per cone row k, the integer images of all n^2 entries in
-        row-major order: the image of d(r, s) is c_k * (a_k . d(r, s)) for
-        one positive c_k per row, so each row's images compare, add and
-        subtract exactly like the values a_k . d(r, s). A closed form or a
-        file table builds no ``Vec``; a table of ``Vec``s is projected."""
-        return _row_images(self._space.cone, *self._grid())
+    def _images(self, rows: Sequence[Label], cols: Sequence[Label]) -> list[Sequence[int]]:
+        """Per cone row k, the integer images of the block of entries
+        d(r, s), r in ``rows`` and s in ``cols`` (all points), in row-major
+        order: the image of d(r, s) is c_k * (a_k . d(r, s)) for one
+        positive c_k per row and call, so each row's images compare, add
+        and subtract exactly like the values a_k . d(r, s). A closed form
+        or a file table builds no ``Vec``; a store of ``Vec``s goes
+        through ``cones._vec_grid``, as ``project`` does."""
+        return _row_images(self._space.cone, *self._grid(rows, cols))
 
     @property
     def space(self) -> OrderedSpace:
@@ -209,16 +209,13 @@ class QcmInstance:
                 raise UnknownLabel(f"unknown point label {label!r}")
 
     def distance(self, r: Label, s: Label) -> Vec:
-        value = self._store.get((r, s))
-        if value is None:
-            self.require_points((r, s))
-            value = self._read(r, s)
-        return value
+        self.require_points((r, s))
+        return self._read(r, s)
 
     def entries(self) -> Iterable[tuple[Label, Label, Vec]]:
-        for r in self._points:
+        for r in self._points:  # the instance's own labels need no check
             for s in self._points:
-                yield r, s, self.distance(r, s)
+                yield r, s, self._read(r, s)
 
     def table_equal(self, other: "QcmInstance") -> bool:
         """Same points in the same order and the same value at every entry,
@@ -273,9 +270,10 @@ def _is_rational(value) -> bool:
 
 def _closed_form(
     provenance: Provenance, points: Sequence[Label]
-) -> tuple[Callable[[Label, Label], Vec], Callable[[], tuple]]:
+) -> tuple[Callable[[Label, Label], Vec],
+           Callable[[Sequence[Label], Sequence[Label]], tuple]]:
     """The reader of a generator provenance, its closed form at the two
-    points' coordinates, and its grid, the whole table in the form
+    points' coordinates, and its grid, a block of entries in the form
     ``cones._row_images`` takes. A provenance that cannot give every entry
     over ``points`` raises a ``ValueError`` that names its field, and the
     first point (in the order of ``points``) at the coordinate of an
@@ -308,22 +306,22 @@ def _closed_form(
             "distance zero"
         )
 
-    def columns():
-        # the coordinates on one integer grid: X = L x for the lcm L of their denominators
-        scale = lcm(*{x.denominator for x in values})
-        grid = [x.numerator * (scale // x.denominator) for x in values]
+    def columns(rows, cols):
+        # the block's coordinates on one integer grid: X = L x for the lcm L
+        # of the denominators on both sides
+        scale = lcm(*{coords[label].denominator for label in (*rows, *cols)})
+        xs, ys = ([coords[x].numerator * (scale // coords[x].denominator) for x in side]
+                  for side in (rows, cols))
         if kind == DIRECTION_METRIC:  # the entries themselves: (0, 0), (1, 0) or (0, 1)
-            return (1, 1), [
-                [int(r > s) for r in grid for s in grid],
-                [int(r < s) for r in grid for s in grid],
-            ]
+            return (1, 1), [[int(r > s) for r in xs for s in ys],
+                            [int(r < s) for r in xs for s in ys]]
         # with alpha = a/b, every entry times b L: (b(X_r - X_s), a(X_r - X_s))
         # when X_r >= X_s, else (a L, b L)
         a, b = alpha.numerator, alpha.denominator
         flat_a, flat_b = a * scale, b * scale
         return (1, 1), [
-            [b * (r - s) if r >= s else flat_a for r in grid for s in grid],
-            [a * (r - s) if r >= s else flat_b for r in grid for s in grid],
+            [b * (r - s) if r >= s else flat_a for r in xs for s in ys],
+            [a * (r - s) if r >= s else flat_b for r in xs for s in ys],
         ]
 
     if kind == DIRECTION_METRIC:
@@ -418,7 +416,7 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
 
     labels = instance.points
     n = len(labels)
-    images = instance._images()
+    images = instance._images(labels, labels)
 
     nonneg_counter = None
     if min(map(min, images)) < 0:

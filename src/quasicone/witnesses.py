@@ -241,7 +241,7 @@ def search_counterexample_witness(
                     f"pool[{i}] is a table for q={witness.q!r} ({witness.direction}); "
                     f"the search is for q={q!r} ({direction})"
                 )
-    labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
+    labels, _, best_at = _best_indices(instance, Query(q, candidates, direction))
     if len(best_at) < 2:
         return None
     if pool is None:

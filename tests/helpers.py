@@ -52,6 +52,20 @@ def random_table_instance(rng: random.Random, max_points=8, dim=3) -> QcmInstanc
     return QcmInstance(space, labels, table)
 
 
+def read_blocks(instance: QcmInstance) -> list:
+    """Wraps the instance's grid, so that the list returned records each
+    block of the table read as images from here on, as (rows, cols)."""
+    blocks = []
+    grid = instance._grid
+
+    def recording(rows, cols):
+        blocks.append((list(rows), list(cols)))
+        return grid(rows, cols)
+
+    instance._grid = recording
+    return blocks
+
+
 def random_query(rng: random.Random, instance: QcmInstance, max_candidates=6,
                  direction="forward") -> Query:
     labels = list(instance.points)

@@ -93,6 +93,7 @@ class TestPipeline:
         doc = json.loads(result.stdout)
         assert doc["passed"]
         assert doc["metric_axioms"]["checks"][2]["checks"] == 10 ** 3
+        assert "nonzero member (1, 1) exhibited" in doc["cone_axioms"]["checks"][0]["note"]
 
     def test_approx_reproduces_regime(self, slack_file):
         result = run("approx", slack_file)
@@ -208,6 +209,19 @@ class TestWitnessCommand:
             assert result.exit_code == 3, (field, result.output)
             assert f"error: {wpath}: {field}: unknown point label 'ghost'" in result.stderr
             assert result.stdout == ""
+
+    def test_witness_for_another_query_is_3(self, beta_files):
+        """The selected query supplies q: a witness emitted for query 0
+        (q = '1') does not check against query 1 (q = '0')."""
+        path, wpath = beta_files
+        doc = json.loads(path.read_text())
+        doc["queries"].append({"q": "0"})
+        path.write_text(json.dumps(doc))
+        result = run("witness", path, "--mode", "check", "--witness-path", wpath, "--query", "1")
+        assert result.exit_code == 3, result.output
+        assert f"error: {wpath}: witness.q: '1' is not the query point '0'\n" in result.stderr
+        assert result.stdout == ""
+        assert run("witness", path, "--mode", "check", "--witness-path", wpath).exit_code == 0
 
     def test_witness_without_an_entry_for_a_point_is_3(self, beta_files):
         path, wpath = beta_files

@@ -20,7 +20,7 @@ from quasicone import (
     format_rational,
     kernel_vector,
 )
-from quasicone.cones import _nonzero_member, project
+from quasicone.cones import _nonzero_member, _slack_solution, project
 
 from helpers import pointed_cones, vectors
 
@@ -225,6 +225,15 @@ class TestConeConstruction:
         assert space.ll(Vec.zero(3), Vec.of(1, -1, 4))
         assert not space.ll(Vec.zero(3), Vec.zero(3))
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5, 6])
+    def test_orthant_interior_point_is_all_ones(self, dimension):
+        """The point the orthant is built with is the one the phase-1
+        simplex finds for its rows."""
+        cone = PolyhedralCone.orthant(dimension)
+        ones = Vec((Fraction(1),) * dimension)
+        assert cone.interior_point == ones
+        assert _slack_solution(cone.rows, Fraction(1)) == ones
+
     def test_is_orthant(self):
         assert ORTHANT3.cone.is_orthant()
         scaled = PolyhedralCone(2, (Vec.of(2, 0), Vec.of(0, 3)))
@@ -273,6 +282,7 @@ class TestConeAxioms:
     def test_orthant_passes(self):
         report = check_cone_axioms(PolyhedralCone.orthant(2))
         assert report.passed
+        assert "nonzero member (1, 1) exhibited" in report["C1"].note
         assert report["C2"].checks == 0
         assert report["C3"].passed
 

@@ -40,7 +40,9 @@ from quasicone import files, metric
 from quasicone.cones import PLAIN_LITERAL, plain_value
 from quasicone.files import _literals, parse_space, space_json
 
-from helpers import random_table_instance, rational_grid, seeded_instances, small_rationals
+from helpers import (
+    random_table_instance, rational_grid, read_blocks, seeded_instances, small_rationals,
+)
 
 TABLE_DOC = {
     "space": {"dimension": 2, "rows": [["1", "0"], ["0", "1"]]},
@@ -447,15 +449,18 @@ class TestTableReadOnDemand:
         instance = random_table_instance(random.Random(5), max_points=30, dim=3)
         loaded = self.parsed(instance)
         assert len(conversions) == 0
+        blocks = read_blocks(loaded)
         q = loaded.points[0]
         candidates = frozenset(loaded.points[1::2])
-        best_approximation_set(loaded, Query(q, candidates, BACKWARD))
-        assert 0 < len(conversions) <= 3 * len(candidates)
+        result = best_approximation_set(loaded, Query(q, candidates, BACKWARD))
+        # the |H| x 1 column d(H, q) as images, and only the common distance
+        # as a Vec
+        assert blocks == [(sorted(candidates), [q])]
+        assert len(conversions) == (3 if result.best else 0)
         conversions.clear()
         r, s = loaded.points[1], loaded.points[-1]
-        first = loaded.distance(r, s)
-        assert loaded.distance(r, s) is first
-        assert len(conversions) == 3
+        assert loaded.distance(r, s) == loaded.distance(r, s)
+        assert len(conversions) == 6  # nothing is kept: each read converts
 
     def test_parsed_table_matches_eager_copy(self):
         for instance, _ in seeded_instances(6, seed=31):
@@ -471,8 +476,9 @@ class TestTableReadOnDemand:
         swapped = transpose(loaded)
         assert swapped.table_equal(transpose(instance))
         assert len(conversions) == 2 * loaded.size**2
+        # nothing is kept: a second transpose converts every entry again
         assert transpose(loaded).table_equal(swapped)
-        assert len(conversions) == 2 * loaded.size**2
+        assert len(conversions) == 4 * loaded.size**2
 
     def test_literals_that_are_not_plain(self):
         doc = json.loads(json.dumps(TABLE_DOC))

@@ -25,7 +25,7 @@ from quasicone import (
 from quasicone import metric
 from quasicone.cones import project
 from quasicone.files import instance_json, parse_instance
-from helpers import axiom_tables, rational_grid, vectors
+from helpers import axiom_tables, rational_grid, read_blocks, vectors
 
 
 class TestDirectionMetric:
@@ -150,10 +150,14 @@ class TestEntriesReadOnDemand:
 
     def test_queries_read_only_their_row(self, evaluations):
         inst = build_example4(rational_grid(0, 100, "1/4"), "2/3")
+        blocks = read_blocks(inst)
         assert inst.size == 401 and len(evaluations) == 0
         candidates = frozenset(inst.points[1::2])
-        best_approximation_set(inst, Query("50", candidates))
-        assert 0 < len(evaluations) <= len(candidates)
+        result = best_approximation_set(inst, Query("50", candidates))
+        # the 1 x |H| row d(q, H) as images, and only the common distance
+        # as a Vec
+        assert blocks == [(["50"], sorted(candidates))]
+        assert result.best and len(evaluations) == 1
         evaluations.clear()
         canonical_witness(inst, "50")
         assert 0 < len(evaluations) <= inst.size
@@ -192,13 +196,13 @@ def vec_copy(instance):
     return QcmInstance(instance.space, instance.points, table)
 
 
-def assert_images_are_positive_multiples(instance):
-    """Each cone row of ``_images`` is one positive multiple of the same row
-    of ``project`` over the table's ``Vec``s."""
-    labels = instance.points
-    vecs = [instance.distance(r, s) for r in labels for s in labels]
+def assert_images_are_positive_multiples(instance, rows, cols):
+    """Each cone row of the images of the block ``rows`` x ``cols`` is one
+    positive multiple of the same row of ``project`` over the block's
+    ``Vec``s."""
+    vecs = [instance.distance(r, s) for r in rows for s in cols]
     projected = project(instance.space.cone, vecs)
-    images = instance._images()
+    images = instance._images(rows, cols)
     assert len(images) == len(instance.space.cone.rows)
     for image, base in zip(images, zip(*projected)):
         assert len(image) == len(base)
@@ -263,17 +267,28 @@ def file_tables(draw):
     return parse_instance(doc).instance
 
 
+def assert_blocks_are_positive_multiples(instance, data):
+    """The positive-multiple property on the blocks that are read: a
+    forward row d(q, H), a backward column d(H, q) and the whole table,
+    for a random q and a random candidate list H in random order."""
+    labels = st.sampled_from(instance.points)
+    q = data.draw(labels)
+    candidates = data.draw(st.lists(labels, min_size=1, unique=True))
+    for rows, cols in (([q], candidates), (candidates, [q]), (instance.points, instance.points)):
+        assert_images_are_positive_multiples(instance, rows, cols)
+
+
 class TestImages:
     @settings(max_examples=150, deadline=None)
-    @given(example_instances())
-    def test_closed_form_images_match_the_vec_route(self, instance):
-        assert_images_are_positive_multiples(instance)
+    @given(example_instances(), st.data())
+    def test_closed_form_images_match_the_vec_route(self, instance, data):
+        assert_blocks_are_positive_multiples(instance, data)
         assert verify_axioms(instance) == verify_axioms(vec_copy(instance))
 
     @settings(max_examples=100, deadline=None)
-    @given(file_tables())
-    def test_file_table_images_match_the_vec_route(self, instance):
-        assert_images_are_positive_multiples(instance)
+    @given(file_tables(), st.data())
+    def test_file_table_images_match_the_vec_route(self, instance, data):
+        assert_blocks_are_positive_multiples(instance, data)
         assert verify_axioms(instance) == verify_axioms(vec_copy(instance))
 
 

@@ -25,6 +25,8 @@ from quasicone import (
     canonical_witness,
     default_witness_pool,
     directed_distance,
+    instance_json,
+    parse_instance,
     search_counterexample_witness,
     transpose,
     verify_witness_for_element,
@@ -288,22 +290,25 @@ class TestBestSetProperties:
     @settings(max_examples=150, deadline=None)
     @given(best_set_cases())
     def test_best_indices_equal_the_definition(self, case):
+        """On the table of ``Vec``s and on its file-parsed copy, which reads
+        its images from the literals."""
         instance, q, candidates = case
         for direction in (FORWARD, BACKWARD):
-            labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
             d = {h: directed_distance(instance, q, h, direction) for h in candidates}
             definition = [
                 h for h in sorted(candidates)
                 if all(instance.space.leq(d[h], d[x]) for x in candidates)
             ]
-            assert [labels[i] for i in best_at] == definition
+            for side in (instance, parse_instance(instance_json(instance)).instance):
+                labels, _, best_at = _best_indices(side, Query(q, candidates, direction))
+                assert [labels[i] for i in best_at] == definition
 
     @settings(max_examples=150, deadline=None)
     @given(best_set_cases())
     def test_canonical_witness_certifies_exactly_the_best_set(self, case):
         instance, q, candidates = case
         for direction in (FORWARD, BACKWARD):
-            labels, _, _, best_at = _best_indices(instance, Query(q, candidates, direction))
+            labels, _, best_at = _best_indices(instance, Query(q, candidates, direction))
             best = frozenset(labels[i] for i in best_at)
             event(f"{direction}: best set of {'two or more' if len(best) >= 2 else 'fewer than two'}")
             w = canonical_witness(instance, q, direction)
