@@ -8,14 +8,13 @@ nothing strictly precedes) is reported as the honest diagnostic.
 
 Every order question here is decided on integer images of the distances
 through the cone rows, where the cone order is the componentwise order:
-a best set reads its candidates' row or column of the table as images
-from the instance (``QcmInstance._images``), and the public front
-routines project the vectors they are given (``project``). Two
-minimal-front routines are provided: a
-definitional all-pairs scan, and, for cones with at most three rows, one
-plane sweep that sorts the projected points lexicographically and keeps
-a single staircase of the minimal points seen so far (Kung, Luccio &
-Preparata, 1975).
+a best set is the componentwise floor of its candidates' row or column
+of the table, which ``metric._best_indices`` reads as images, and the
+public front routines project the vectors they are given (``project``).
+Two minimal-front routines are provided: a definitional all-pairs scan,
+and, for cones with at most three rows, one plane sweep that sorts the
+projected points lexicographically and keeps a single staircase of the
+minimal points seen so far (Kung, Luccio & Preparata, 1975).
 """
 from __future__ import annotations
 
@@ -34,6 +33,7 @@ from .metric import (  # Query and its directions are re-exported from here
     Label,
     QcmInstance,
     Query,
+    _best_indices,
     directed_distance,
     transpose,
 )
@@ -58,24 +58,6 @@ class ApproximationResult:
     common_distance: Vec | None
     minimal_front: frozenset[Label]
     stats: DominanceStats
-
-
-def _best_indices(
-    instance: QcmInstance, query: Query
-) -> tuple[list[Label], list[tuple[int, ...]], list[int]]:
-    """The candidates in label order, the integer images of their
-    distances, and the indices of the best members: those whose image is
-    the componentwise minimum. The images are one block of the table, the
-    row d(q, H) forward or the column d(H, q) backward, so no ``Vec`` is
-    built and no pair is tested."""
-    instance.require_points([query.q])
-    instance.require_points(query.candidates)
-    labels = sorted(query.candidates)
-    block = ([query.q], labels) if query.direction == FORWARD else (labels, [query.q])
-    images = instance._images(*block)
-    points = list(zip(*images))
-    floor = tuple(map(min, images))
-    return labels, points, [i for i, p in enumerate(points) if p == floor]
 
 
 def best_approximation_set(

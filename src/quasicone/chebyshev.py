@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .approximation import _best_indices
 from .cones import Vec, exact_rank
 from .errors import EmbeddingRequired
-from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query
+from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices
 
 if TYPE_CHECKING:
     from .witnesses import WitnessTable
@@ -38,6 +37,9 @@ class QueryFamily:
     direction: str = FORWARD
 
     def __post_init__(self):
+        for name, labels in (("queries", self.queries), ("candidates", self.candidates)):
+            if isinstance(labels, str):  # a string would be split into characters
+                raise ValueError(f"{name} must be a collection of labels, not {labels!r}")
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "candidates", frozenset(self.candidates))
         if not self.queries:

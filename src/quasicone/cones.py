@@ -84,23 +84,18 @@ def as_rational(value: RationalLike) -> Fraction:
     raise NotARational(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def plain_value(literal: str | Fraction) -> Fraction:
-    """The value of a string that matches ``PLAIN_LITERAL``, or a
-    ``Fraction`` unchanged."""
-    if literal.__class__ is Fraction:
-        return literal
+def plain_value(literal: str) -> Fraction:
+    """The value of a string that matches ``PLAIN_LITERAL``, the one form
+    in which an instance keeps a table literal."""
     numerator, _, denominator = literal.partition("/")
     if denominator:
         return Fraction(int(numerator), int(denominator))
     return Fraction(int(numerator))
 
 
-def _literal_parts(literal: str | Fraction) -> tuple[int, int]:
+def _literal_parts(literal: str) -> tuple[int, int]:
     """The numerator and denominator of a string that matches
-    ``PLAIN_LITERAL``, as written (so not always in lowest terms), or of a
-    ``Fraction``."""
-    if literal.__class__ is Fraction:
-        return literal.numerator, literal.denominator
+    ``PLAIN_LITERAL``, as written, so not always in lowest terms."""
     numerator, _, denominator = literal.partition("/")
     return int(numerator), int(denominator or 1)
 

@@ -9,7 +9,8 @@ table is validated in full here, and its entries are converted only when
 the instance reads them. A table whose every literal is a plain string
 (``cones.PLAIN_LITERAL``) is accepted by a few whole-table passes that
 check each distinct literal once; any other table goes entry by entry,
-which converts literals that are not plain and names the first bad field.
+which names the first bad field and writes each literal that is not plain
+back as a plain one. Either way the instance keeps plain strings only.
 """
 from __future__ import annotations
 
@@ -69,19 +70,15 @@ def _rational(value, where: str) -> Fraction:
 _plain = PLAIN_LITERAL.fullmatch
 
 
-def _literals(value, where: str, dimension: int | None) -> tuple:
-    """A file vector as a table keeps it until it is read: each literal
-    that ``PLAIN_LITERAL`` accepts as it is, anything else converted or
-    rejected by ``_rational``. A ``dimension`` of None accepts any length."""
-    try:
-        if isinstance(value, list) and dimension in (None, len(value)) and all(map(_plain, value)):
-            return tuple(value)
-    except TypeError:  # a coordinate that is not a string; see below
-        pass
+def _literals(value, where: str, dimension: int | None) -> tuple[str, ...]:
+    """A file vector as a table keeps it until it is read, every literal a
+    string that ``PLAIN_LITERAL`` matches: a plain one as it is, anything
+    else read by ``_rational`` (which rejects it or names its value) and
+    written back plain. A ``dimension`` of None accepts any length."""
     if not isinstance(value, list):
         raise _fail(where, f"expected an array of rational literals, got {type(value).__name__}")
     coords = tuple(
-        c if isinstance(c, str) and _plain(c) else _rational(c, f"{where}[{i}]")
+        c if isinstance(c, str) and _plain(c) else format_rational(_rational(c, f"{where}[{i}]"))
         for i, c in enumerate(value)
     )
     if dimension not in (None, len(coords)):
@@ -186,8 +183,8 @@ def parse_instance(doc: dict) -> LoadedInstance:
     that is not a point raises ``UnknownLabel``. An explicit table is
     checked in whole-table passes (``_plain_table``) when its literals are
     all plain strings; otherwise, or when those passes reject it, entry by
-    entry, which names the first bad field. The instance keeps tuples
-    copied out of ``doc``, never its lists."""
+    entry, which names the first bad field. The instance keeps tuples of
+    plain strings copied out of ``doc``, never its lists."""
     if not isinstance(doc, dict):
         raise InstanceFileError("top level: expected a JSON object")
     points = _parse_points(_require(doc, "points", "top level"))
@@ -228,7 +225,7 @@ def parse_instance(doc: dict) -> LoadedInstance:
             raise _fail("metric.entries", "expected an array of [from, to, vector] triples")
         known = set(labels)
         table = _plain_table(entries_doc, known, space.dimension)
-        if table is None:  # name the first bad field, or convert literals that are not plain
+        if table is None:  # name the first bad field, or write literals that are not plain
             table = {}
             for i, entry in enumerate(entries_doc):
                 if not (isinstance(entry, list) and len(entry) == 3):

@@ -11,16 +11,19 @@ An instance reads its table through one reader, chosen when it is
 built, in two forms: ``distance`` gives one entry as a ``Vec``, and
 ``_images`` gives a block of entries d(r, s), r in some rows and s in some
 columns, as integer images, one positive scale per cone row and call. A
-table read from a file keeps its literals and converts an entry on every
-read; its images come from the literals' numerators. The two closed-form
-generators (a two-valued direction metric over Q^2 and a slack metric
-with a positive parameter alpha) keep nothing: a read evaluates the
-closed form, and images come from the coordinates on one integer grid.
-Only a store of ``Vec``s goes through ``cones._vec_grid``, as ``project``
-does. So a query pays only for the entries it reads: a best set reads
-the one row or column of its candidates as images, and the exhaustive
-axiom checker the whole table, whose triangle inequality it checks on
-bit-packed rows.
+table read from a file keeps its literals, each a plain string
+(``cones.PLAIN_LITERAL``), and converts an entry on every read; its images
+come from the literals' numerators. The two closed-form generators (a
+two-valued direction metric over Q^2 and a slack metric with a positive
+parameter alpha) keep nothing: a read evaluates the closed form, and
+images come from the coordinates on one integer grid. Only a store of
+``Vec``s goes through ``cones._vec_grid``, as ``project`` does.
+
+Every block read of the table is made here, so a query pays only for the
+entries it reads: ``_best_indices`` reads the one row d(q, H) or column
+d(H, q) of a best set, for best sets, Chebyshev classification and the
+witness search alike, and the exhaustive axiom checker reads the whole
+table, whose triangle inequality it checks on bit-packed rows.
 """
 from __future__ import annotations
 
@@ -92,10 +95,11 @@ class QcmInstance:
 
     Immutable after construction, so instances are safe to share. Every
     read goes through the instance's reader and keeps nothing. A table of
-    ``Vec``s passed to the constructor is the reader's store; with a
-    generator provenance it is instead checked against the closed form
-    entry by entry and dropped, and the reader evaluates the closed form
-    on every read; a provenance with an unknown kind, a missing or
+    ``Vec``s passed to the constructor is the reader's store, and a key of
+    it that is not a pair of points raises ``UnknownLabel``; with a
+    generator provenance the table is instead checked against the closed
+    form entry by entry and dropped, and the reader evaluates the closed
+    form on every read; a provenance with an unknown kind, a missing or
     nonpositive alpha, or a missing or non-rational coordinate raises a
     ``ValueError`` that names the field, and one that puts two points at
     one coordinate raises ``DuplicateLabel``. A table that the file parser
@@ -124,6 +128,9 @@ class QcmInstance:
                         f"space has {space.dimension}"
                     )
                 store[(r, s)] = value
+        if len(table) != len(store):
+            key = next(key for key in table if key not in store)
+            raise UnknownLabel(f"table entry {key!r} is not a pair of points")
         if provenance.kind == EXPLICIT_TABLE:
             read = lambda r, s: store[r, s]
             grid = lambda rows, cols: _vec_grid(
@@ -142,14 +149,14 @@ class QcmInstance:
     @classmethod
     def _on_read(
         cls, space: OrderedSpace, points: Sequence[Label], provenance: Provenance = _EXPLICIT,
-        literals: dict[tuple[Label, Label], tuple[str | Fraction, ...]] | None = None,
+        literals: dict[tuple[Label, Label], tuple[str, ...]] | None = None,
     ) -> "QcmInstance":
         """An instance that computes each entry when it is read: from its
         generator provenance (the builders), or from a table's literals (the
         file parser). The parser has already checked every key (a pair of
         points) and every value: one coordinate per dimension, each a string
-        that matches ``cones.PLAIN_LITERAL`` or a ``Fraction``. So counting
-        the keys decides totality, and no conversion can fail."""
+        that matches ``cones.PLAIN_LITERAL``. So counting the keys decides
+        totality, and no conversion can fail."""
         points = _ground_set(points)
         if literals is None:
             read, grid = _closed_form(provenance, points)
@@ -240,6 +247,8 @@ class Query:
     direction: str = FORWARD
 
     def __post_init__(self):
+        if isinstance(self.candidates, str):  # a string would be split into characters
+            raise ValueError(f"candidates must be a collection of labels, not {self.candidates!r}")
         object.__setattr__(self, "candidates", frozenset(self.candidates))
         if not self.candidates:
             raise ValueError("candidate set must be nonempty")
@@ -330,7 +339,7 @@ def _closed_form(
 
 
 def _literal_grid(
-    entries: list[tuple[str | Fraction, ...]], dimension: int
+    entries: list[tuple[str, ...]], dimension: int
 ) -> tuple[list[int], list[list[int]]]:
     """Per axis, the lcm of the denominators of the entries' literals and
     the column of their values times that lcm, in the form
@@ -398,8 +407,25 @@ def build_example4(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive axiom verification
+# Block reads: best sets and exhaustive axiom verification
 # ---------------------------------------------------------------------------
+
+def _best_indices(
+    instance: QcmInstance, query: Query
+) -> tuple[list[Label], list[tuple[int, ...]], list[int]]:
+    """The candidates in label order, the integer images of their
+    distances, and the indices of the best members: those whose image is
+    the componentwise minimum. The images are one block of the table, the
+    row d(q, H) forward or the column d(H, q) backward, so no ``Vec`` is
+    built and no pair is tested."""
+    instance.require_points([query.q, *query.candidates])
+    labels = sorted(query.candidates)
+    block = ([query.q], labels) if query.direction == FORWARD else (labels, [query.q])
+    images = instance._images(*block)
+    points = list(zip(*images))
+    floor = tuple(map(min, images))
+    return labels, points, [i for i, p in enumerate(points) if p == floor]
+
 
 def verify_axioms(instance: QcmInstance) -> AxiomReport:
     """Exhaustively check nonnegativity, identity of indiscernibles, and

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping
 
 from .cones import Vec, project
 from .errors import DimensionMismatch
-from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, directed_distance
+from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, directed_distance
 
 ANCHOR_EQUALITY = "anchor-equality"
 SHIFT_NOT_IN_CONE = "f-shift-not-in-cone"
@@ -231,8 +231,6 @@ def search_counterexample_witness(
     certifies; one table certifies a set exactly when it certifies each
     member. A pool table for another q or direction raises ``ValueError``.
     """
-    from .approximation import _best_indices
-
     if pool is not None:
         pool = list(pool)
         for i, witness in enumerate(pool):

@@ -162,6 +162,15 @@ class TestEdgeCases:
         with pytest.raises(UnknownLabel):
             best_approximation_set(instance, Query("0", frozenset({"ghost"})))
 
+    def test_a_string_is_not_a_candidate_collection(self):
+        # a string iterates over its characters: "bc" would be {"b", "c"}
+        instance = build_example4([("a", 0), ("b", 1), ("bc", 2), ("c", 3)], 1)
+        with pytest.raises(ValueError, match=r"^candidates must be a collection of labels, not 'bc'$"):
+            Query("a", "bc")
+        with pytest.raises(ValueError, match="not 'bc'"):
+            duality_check(instance, "a", "bc")
+        assert best_approximation_set(instance, Query("a", ["bc"])).best == {"bc"}
+
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             Query("q", frozenset())

@@ -92,6 +92,17 @@ class TestQueryFamily:
         with pytest.raises(ValueError, match=message):
             QueryFamily(queries, candidates, direction)
 
+    @pytest.mark.parametrize(
+        "queries,candidates,message",
+        [("ab", {"bc"}, r"^queries must be a collection of labels, not 'ab'$"),
+         (("0",), "bc", r"^candidates must be a collection of labels, not 'bc'$")],
+        ids=["queries", "candidates"],
+    )
+    def test_a_string_is_not_a_label_collection(self, queries, candidates, message):
+        # a string iterates over its characters: "ab" would be ("a", "b")
+        with pytest.raises(ValueError, match=message):
+            QueryFamily(queries, candidates)
+
 
 class TestEmptyBestSets:
     def test_quasi_fails_on_empty_best(self):

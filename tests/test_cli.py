@@ -1,6 +1,7 @@
 """Command-line behavior: pipelines, exit codes, determinism."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 import quasicone
+from quasicone import Query
 from quasicone.cli import main
+from quasicone.files import instance_json
+from helpers import random_table_instance
 
 runner = CliRunner()
 
@@ -564,6 +568,45 @@ class TestVerifyCost:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["passed"]
+
+
+def respelled(literal: str, i: int):
+    """Another spelling of a plain literal with the same value: an integer
+    as a JSON number, a fraction padded with spaces or given a + sign."""
+    if "/" not in literal:
+        return int(literal)
+    return f" {literal} " if i % 2 or literal.startswith("-") else f"+{literal}"
+
+
+class TestRespelledTables:
+    """A table whose literals are not all plain goes entry by entry, and
+    the instance keeps the literals written back plain: every report is
+    the one of the plain file but for the file name."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_reports_equal_the_plain_files(self, tmp_path, seed):
+        instance = random_table_instance(random.Random(seed), max_points=7, dim=2)
+        everyone = frozenset(instance.points)
+        doc = instance_json(instance, [Query(instance.points[0], everyone),
+                                       Query(instance.points[-1], everyone, "backward")])
+        plain, other = tmp_path / "plain.json", tmp_path / "respelled.json"
+        plain.write_text(json.dumps(doc))
+        for i, (_, _, value) in enumerate(doc["metric"]["entries"]):
+            value[:] = [respelled(literal, i + k) for k, literal in enumerate(value)]
+        assert any(type(c) is int for *_, v in doc["metric"]["entries"] for c in v)
+        assert any(type(c) is str and c != c.strip() for *_, v in doc["metric"]["entries"] for c in v)
+        other.write_text(json.dumps(doc))
+
+        for command in (["verify"], ["approx"], ["approx", "--query", "1"],
+                        ["witness", "--mode", "emit"]):
+            reports = []
+            for path in (plain, other):
+                result = run(*command, path)
+                assert result.exit_code in (0, 4), result.output  # 4: an axiom fails
+                report = json.loads(result.stdout)
+                assert report.pop("file") == str(path)
+                reports.append((result.exit_code, report))
+            assert reports[0] == reports[1], command
 
 
 class TestDeterminism:

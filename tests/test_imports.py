@@ -61,7 +61,7 @@ def workdir(tmp_path_factory):
     [
         (["verify", "ex.json"], {"reports"}),
         (["approx", "ex.json"], {"approximation"}),
-        (["classify", "ex.json"], {"approximation", "chebyshev"}),
+        (["classify", "ex.json"], {"chebyshev"}),
         (["witness", "ex.json", "--mode", "emit", "--witness-path", "emitted.json"], {"witnesses"}),
         (["witness", "ex.json", "--mode", "check", "--witness-path", "w.json"], {"witnesses"}),
         (["example", "example3", "--grid", "0:2:1"], set()),

@@ -13,6 +13,7 @@ from quasicone import (
     PolyhedralCone,
     QcmInstance,
     Query,
+    UnknownLabel,
     Vec,
     best_approximation_set,
     build_example3,
@@ -70,6 +71,18 @@ class TestInstanceConstruction:
         space = OrderedSpace.orthant(2)
         with pytest.raises(ValueError, match="not total"):
             QcmInstance(space, ["a", "b"], {("a", "a"): Vec.zero(2)})
+
+    def test_entries_for_labels_that_are_not_points_rejected(self):
+        table = {("a", "a"): Vec.zero(2), ("a", "ghost"): Vec.of(1, 1),
+                 ("ghost", "ghost"): Vec.of(-1, 5)}
+        with pytest.raises(UnknownLabel, match=r"^table entry \('a', 'ghost'\) is not a pair of points$"):
+            QcmInstance(OrderedSpace.orthant(2), ["a"], table)
+        # a generator provenance checks the points' entries against its
+        # closed form and must not drop the others unseen either
+        inst = build_example4([("0", 0), ("1", 1)], 2)
+        table = {("ghost", "0"): Vec.zero(2), **{(r, s): v for r, s, v in inst.entries()}}
+        with pytest.raises(UnknownLabel, match=r"table entry \('ghost', '0'\) is not a pair"):
+            QcmInstance(inst.space, inst.points, table, inst.provenance)
 
     def test_entry_dimension_checked(self):
         space = OrderedSpace.orthant(2)

@@ -33,7 +33,7 @@ from quasicone import (
     verify_witness_for_set,
 )
 from quasicone import witnesses
-from quasicone.approximation import _best_indices
+from quasicone.metric import _best_indices
 from helpers import axiom_tables, rational_grid, seeded_instances
 
 H_GRID = rational_grid(0, 2, "1/4")

@@ -7,10 +7,13 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Eleven more invocations run once, on files that
-``example`` writes: ``example`` itself, ``classify`` on a file without
-queries, and the CLI's own exit 2 and 3 checks. For each invocation it keeps
-stdout, the exit code and stderr without its ``elapsed:`` line. Commands run in OUT_DIR with
+on each file: 128 reports. Fourteen more invocations run once: ``example``
+itself, ``classify`` on a file without queries, the CLI's own exit 2 and 3
+checks, and ``verify``, ``approx`` and ``witness --mode emit`` on a copy of
+the seed 1 ``table30`` file whose table literals are respelled (``respell``),
+so that the parser's entry-by-entry path is compared too: 142 reports. For
+each invocation it keeps stdout, the exit code and stderr without its
+``elapsed:`` line. Commands run in OUT_DIR with
 relative paths, so the reports of two trees differ only where the program's
 answers or messages do:
 
@@ -58,9 +61,12 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
     }
 
 
-def once_invocations(queried: str, free: str, broken: str) -> dict[str, list[str]]:
-    """The 11 invocations run once, in order, by report name: the first
-    three write the files the rest read, and ``broken`` holds ``{not json``."""
+def once_invocations(
+    queried: str, free: str, broken: str, respelled: str
+) -> dict[str, list[str]]:
+    """The 14 invocations run once, in order, by report name: the second
+    and third write ``queried`` and ``free``, which later ones read,
+    ``broken`` holds ``{not json`` and ``respell`` writes ``respelled``."""
     return {
         "example3-beta": ["example", "example3", "--grid", "-2:2:1/2", "--beta", "1"],
         "example4-backward": ["example", "example4", "--grid", "0:4:1/2", "--alpha", "2/3",
@@ -75,7 +81,23 @@ def once_invocations(queried: str, free: str, broken: str) -> dict[str, list[str
         "example3-alpha": ["example", "example3", "--grid", "0:1:1", "--alpha", "2"],
         "example4-zero-step": ["example", "example4", "--grid", "0:1:0"],
         "verify-not-json": ["verify", broken],
+        "verify-respelled": ["verify", respelled],
+        "approx-respelled": ["approx", respelled],
+        "witness-emit-respelled": ["witness", respelled, "--mode", "emit"],
     }
+
+
+def respell(plain: Path, respelled: Path) -> None:
+    """Copy an instance file with every table literal spelled another way
+    for the same value: an integer as a JSON number, a fraction padded with
+    spaces or, by turns, given a + sign."""
+    doc = json.loads(plain.read_text())
+    for i, (_, _, value) in enumerate(doc["metric"]["entries"]):
+        value[:] = [
+            int(c) if "/" not in c else f" {c} " if (i + k) % 2 or c[0] == "-" else f"+{c}"
+            for k, c in enumerate(value)
+        ]
+    respelled.write_text(json.dumps(doc) + "\n")
 
 
 def corrupt(witness: Path, corrupted: Path) -> None:
@@ -130,8 +152,11 @@ def main(argv: list[str]) -> int:
     (out / "files" / "once").mkdir(parents=True, exist_ok=True)
     (out / "reports" / "once").mkdir(parents=True, exist_ok=True)
     (out / "files" / "once" / "broken.json").write_text("{not json")
+    respell(out / "files" / "verify-dense-1" / "table30.json",
+            out / "files" / "once" / "table30-respelled.json")
     once = once_invocations(
-        "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json"
+        "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json",
+        "files/once/table30-respelled.json",
     )
     for report, args in once.items():
         record(args, out / "reports" / "once", report)
