@@ -37,7 +37,6 @@ _EXPORTS = {
         "PolyhedralCone",
         "Vec",
         "as_rational",
-        "check_cone_axioms",
         "exact_rank",
         "format_rational",
         "kernel_vector",
@@ -76,7 +75,7 @@ _EXPORTS = {
         "transpose",
         "verify_axioms",
     ),
-    "reports": ("AxiomCheck", "AxiomReport"),
+    "reports": ("AxiomCheck", "AxiomReport", "check_cone_axioms"),
     "witnesses": (
         "ANCHOR_EQUALITY",
         "GAP_NOT_IN_CONE",

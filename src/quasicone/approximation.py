@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import le
 from typing import Iterable
 
-from .cones import OrderedSpace, Vec, project
+from .cones import OrderedSpace, Vec, _Record, project
 from .errors import DimensionMismatch
 from .metric import (  # Query and its directions are re-exported from here
     BACKWARD,
@@ -43,17 +42,17 @@ class MinimalFrontFallback(UserWarning):
     """The staircase-sweep front fell back to the pairwise scan."""
 
 
-@dataclass(frozen=True)
-class DominanceStats:
+class DominanceStats(_Record):
     """How comparable the candidate distances were on this query."""
 
+    __slots__ = ("pairs", "comparable", "incomparable")
     pairs: int
     comparable: int
     incomparable: int
 
 
-@dataclass(frozen=True)
-class ApproximationResult:
+class ApproximationResult(_Record):
+    __slots__ = ("best", "common_distance", "minimal_front", "stats")
     best: frozenset[Label]
     common_distance: Vec | None
     minimal_front: frozenset[Label]

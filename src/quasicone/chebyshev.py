@@ -11,10 +11,9 @@ ambient space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .cones import Vec, exact_rank
+from .cones import Vec, _Record, exact_rank
 from .errors import EmbeddingRequired
 from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices
 
@@ -28,13 +27,14 @@ FINITE_SCALE_SEMANTICS = (
 )
 
 
-@dataclass(frozen=True)
-class QueryFamily:
+class QueryFamily(_Record):
     """Query points, one shared candidate set, one direction."""
 
+    __slots__ = ("queries", "candidates", "direction")
+    _defaults = {"direction": FORWARD}
     queries: tuple[Label, ...]
     candidates: frozenset[Label]
-    direction: str = FORWARD
+    direction: str
 
     def __post_init__(self):
         for name, labels in (("queries", self.queries), ("candidates", self.candidates)):
@@ -50,15 +50,20 @@ class QueryFamily:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(_Record):
+    __slots__ = ("q", "cardinality", "rank")
+    _defaults = {"rank": None}
     q: Label
     cardinality: int
-    rank: int | None = None
+    rank: int | None
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
+class ChebyshevReport(_Record):
+    __slots__ = (
+        "family", "chebyshev_holds", "chebyshev_counterexamples", "quasi_holds",
+        "quasi_counterexamples", "pseudo_evaluated", "pseudo_holds", "census", "semantics",
+    )
+    _defaults = {"semantics": FINITE_SCALE_SEMANTICS}
     family: QueryFamily
     chebyshev_holds: bool
     chebyshev_counterexamples: tuple[tuple[Label, Label, Label], ...]
@@ -67,7 +72,7 @@ class ChebyshevReport:
     pseudo_evaluated: bool
     pseudo_holds: bool | None
     census: tuple[CensusEntry, ...]
-    semantics: str = field(default=FINITE_SCALE_SEMANTICS)
+    semantics: str
 
 
 def classify(

@@ -9,10 +9,13 @@ labels, missing embedding, bad selectors, oversized grids, an option the
 command or mode does not use), 4 axiom failure, 5 verdict failure (a
 witness check or classification that does not hold).
 
-Each run is a fresh interpreter, so the module level imports only what
+Each run is a fresh interpreter, which compiles every module it loads
+when no bytecode cache exists, so the module level imports only what
 every command needs to read an instance file (``errors``, ``files`` and
 ``metric``, which load ``cones``), and each command imports the rest of
-what it runs in its body; only ``verify`` loads ``reports``.
+what it runs in its body: only ``verify`` loads ``reports``, which holds
+the axiom checks, and only ``--pretty`` loads ``pretty``, which holds the
+human-readable renderers.
 
 Run as ``python -m quasicone.cli``, the program turns the cyclic garbage
 collector off before anything else is imported: every object a command
@@ -76,10 +79,15 @@ class _Failure(Exception):
         self.code = code
 
 
-def _report(doc: dict, out: str | None, render=None) -> None:
-    """Write ``render(doc)``, or the document as indented JSON, to the file
-    ``out`` or to stdout."""
-    text = render(doc) if render else json.dumps(doc, indent=2) + "\n"
+def _report(doc: dict, out: str | None, pretty: bool = False) -> None:
+    """Write the document as indented JSON, or in its human-readable form
+    (``pretty.render``), to the file ``out`` or to stdout."""
+    if pretty:
+        from .pretty import render
+
+        text = render(doc)
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -159,21 +167,6 @@ def main():
 # verify
 # ---------------------------------------------------------------------------
 
-def _pretty_axioms(doc: dict) -> str:
-    lines = []
-    for section in ("cone_axioms", "metric_axioms"):
-        parts = []
-        for check in doc[section]["checks"]:
-            mark = "ok" if check["passed"] else "FAIL"
-            parts.append(f"{check['axiom']} {mark} ({check['checks']} checks)")
-        lines.append(f"{section.replace('_', ' ')}: " + "; ".join(parts))
-        for check in doc[section]["checks"]:
-            if not check["passed"]:
-                lines.append(f"  counterexample for {check['axiom']}: {check['counterexample']}")
-    lines.append("all axioms hold" if doc["passed"] else "AXIOM FAILURE")
-    return "\n".join(lines) + "\n"
-
-
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -182,7 +175,7 @@ def _pretty_axioms(doc: dict) -> str:
 @_exits
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
-    from .cones import check_cone_axioms
+    from .reports import check_cone_axioms
 
     instance = load_instance_file(path).instance
     cone_report = check_cone_axioms(instance.space.cone)
@@ -195,7 +188,7 @@ def verify(path, seed, out, pretty):
         "metric_axioms": axiom_report_json(metric_report),
         "passed": cone_report.passed and metric_report.passed,
     }
-    _report(doc, out, _pretty_axioms if pretty else None)
+    _report(doc, out, pretty)
     if not doc["passed"]:
         failing = [c.axiom for c in (*cone_report.failures, *metric_report.failures)]
         raise _Failure(EXIT_AXIOM, f"axiom failure: {', '.join(failing)}")
@@ -204,23 +197,6 @@ def verify(path, seed, out, pretty):
 # ---------------------------------------------------------------------------
 # approx
 # ---------------------------------------------------------------------------
-
-def _pretty_approx(doc: dict) -> str:
-    lines = []
-    for r in doc["results"]:
-        tag = "P_{H_f}" if r["direction"] == FORWARD else "P_{H_b}"
-        best = "{" + ", ".join(r["best"]) + "}" if r["best"] else "∅"
-        lines.append(f"{tag}(q={r['q']}) = {best}")
-        if r["common_distance"] is not None:
-            lines.append(f"  common distance ({', '.join(r['common_distance'])})")
-        front = "{" + ", ".join(r["minimal_front"]) + "}"
-        stats = r["stats"]
-        lines.append(
-            f"  minimal front {front}; comparable pairs "
-            f"{stats['comparable']}/{stats['pairs']}"
-        )
-    return "\n".join(lines) + "\n"
-
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
@@ -245,32 +221,12 @@ def approx(path, selector, direction, out, pretty):
             for q in _select_queries(loaded, selector, direction)
         ],
     }
-    _report(doc, out, _pretty_approx if pretty else None)
+    _report(doc, out, pretty)
 
 
 # ---------------------------------------------------------------------------
 # witness
 # ---------------------------------------------------------------------------
-
-def _pretty_witness(doc: dict) -> str:
-    lines = [f"witness for q={doc['witness']['q']} ({doc['witness']['direction']})"]
-    if "verdict" in doc:
-        v = doc["verdict"]
-        if v["holds"]:
-            lines.append("verdict: holds")
-        elif "reason" in v:
-            lines.append(f"verdict: fails: {v['reason']}")
-        else:
-            ce = v["counterexample"]
-            lines.append(
-                f"verdict: fails {v['failed_condition']} at {ce['point']} "
-                f"with value ({', '.join(ce['value'])})"
-            )
-    if "certified" in doc:
-        certified = "{" + ", ".join(doc["certified"]) + "}" if doc["certified"] else "∅"
-        lines.append(f"certified members: {certified}")
-    return "\n".join(lines) + "\n"
-
 
 @main.command()
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
@@ -310,7 +266,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
         if witness_path:
             _report(wdoc, witness_path)
         doc = {"command": "witness", "mode": "emit", "file": path, "witness": wdoc}
-        _report(doc, out, _pretty_witness if pretty else None)
+        _report(doc, out, pretty)
         return
 
     if not witness_path:
@@ -356,7 +312,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
         "certified": certified,
         "verdict": verdict_doc,
     }
-    _report(doc, out, _pretty_witness if pretty else None)
+    _report(doc, out, pretty)
     if not verdict_doc["holds"]:
         raise _Failure(EXIT_VERDICT, failure)
 
@@ -364,30 +320,6 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
-
-def _pretty_classify(doc: dict) -> str:
-    lines = [f"direction: {doc['direction']}"]
-    ch = doc["chebyshev"]
-    if ch["holds"]:
-        lines.append("Chebyshev: holds (every best set a singleton)")
-    else:
-        lines.append("Chebyshev: FAILS")
-        for ce in ch["counterexamples"]:
-            lines.append(f"  q={ce['q']}: distinct members {ce['h1']}, {ce['h2']}")
-    qu = doc["quasi"]
-    lines.append("quasi-Chebyshev: holds (every best set nonempty)" if qu["holds"]
-                 else "quasi-Chebyshev: FAILS")
-    for ce in qu["counterexamples"]:
-        lines.append(f"  q={ce['q']}: {ce['reason']}")
-    ps = doc["pseudo"]
-    if ps["evaluated"]:
-        lines.append("pseudo-Chebyshev: holds (finite scale); span ranks in census")
-    lines.append("census (q: cardinality" + (", rank)" if ps["evaluated"] else ")"))
-    for entry in doc["census"]:
-        rank = f", {entry['rank']}" if entry["rank"] is not None else ""
-        lines.append(f"  {entry['q']}: {entry['cardinality']}{rank}")
-    return "\n".join(lines) + "\n"
-
 
 @main.command(name="classify")
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
@@ -435,7 +367,7 @@ def classify_cmd(path, direction, pseudo, out, pretty):
         "file": path,
         **chebyshev_report_json(report),
     }
-    _report(doc, out, _pretty_classify if pretty else None)
+    _report(doc, out, pretty)
     if not (report.chebyshev_holds and report.quasi_holds):
         first = (
             report.chebyshev_counterexamples[0][0]

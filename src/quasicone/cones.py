@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from operator import attrgetter, mul
+from typing import Iterable, Sequence, Union
 
 from .errors import ConeNotPointed, ConeNotSolid, DimensionMismatch, NotARational
-
-if TYPE_CHECKING:  # imported by check_cone_axioms, which only `verify` runs
-    from .reports import AxiomReport
 
 RationalLike = Union[Fraction, int, str]
 
@@ -125,16 +121,84 @@ def format_rational(value: Fraction) -> str:
         return _decimal(value.numerator) + "/" + _decimal(value.denominator)
 
 
-@dataclass(frozen=True)
-class Vec:
-    """Immutable rational vector."""
+class _Record:
+    """Base of the package's immutable value types. A subclass names its
+    fields in ``__slots__``, in order, the defaults of trailing ones in
+    ``_defaults``, and, when ``==`` and ``hash`` must skip a field, the ones
+    they read in ``_compared``. An instance takes its fields by position or
+    by name, then runs ``__post_init__``, and no field can be set or deleted
+    after that. As for a frozen dataclass, instances are equal only when
+    they are of one class and their compared fields are equal, the hash is
+    that of the compared fields' tuple, and the repr names every field. The
+    methods are shared and a class only has its field names read once, so
+    defining one generates and compiles no code, where a ``@dataclass``
+    writes and compiles its methods for each class."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
+    _defaults: dict = {}
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = cls.__slots__
+        compared = cls._compared or cls._fields
+        get = attrgetter(*compared)
+        cls._key = staticmethod(get if len(compared) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields) - given.keys():
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        values = {**self._defaults, **given, **kwargs}
+        for name in fields:
+            if name not in values:
+                raise TypeError(f"{type(self).__name__}() is missing the field {name!r}")
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(as_rational(c) for c in self.coords)
-        )
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+
+class Vec(_Record):
+    """Immutable rational vector."""
+
+    __slots__ = ("coords",)
+    coords: tuple[Fraction, ...]
+
+    def __init__(self, coords: Iterable[RationalLike]):
+        object.__setattr__(self, "coords", tuple(as_rational(c) for c in coords))
+
+    # == and hash as the base has them, without its per-call lookups, since
+    # vectors are compared in inner loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @classmethod
     def _trusted(cls, coords: tuple[Fraction, ...]) -> "Vec":
@@ -306,8 +370,7 @@ def _nonnegative_solution(
 # Polyhedral cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyhedralCone:
+class PolyhedralCone(_Record):
     """A cone in halfspace form: {x : row . x >= 0 for every row}.
 
     Closedness holds by construction (finite intersection of closed
@@ -322,9 +385,12 @@ class PolyhedralCone:
     interior, so the strict order ``ll`` is undefined on it.
     """
 
+    __slots__ = ("dimension", "rows", "interior_point")
+    _defaults = {"interior_point": None}
+    _compared = ("dimension", "rows")  # not interior_point
     dimension: int
     rows: tuple[Vec, ...]
-    interior_point: Vec | None = field(default=None, compare=False)
+    interior_point: Vec | None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -422,8 +488,7 @@ def _slack_solution(
 # Ordered spaces and order predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderedSpace:
+class OrderedSpace(_Record):
     """A rational vector space ordered by a pointed halfspace cone.
 
     The order is ``s <= r iff r - s`` lies in the cone. Pointedness is
@@ -431,6 +496,7 @@ class OrderedSpace:
     equidistance of best-approximation sets) depends on it.
     """
 
+    __slots__ = ("dimension", "cone")
     dimension: int
     cone: PolyhedralCone
 
@@ -519,73 +585,3 @@ def _row_images(
                 terms.append(column if w == 1 else list(map(mul, column, repeat(w))))
         images.append(terms[0] if len(terms) == 1 else list(map(sum, zip(*terms))))
     return images
-
-
-# ---------------------------------------------------------------------------
-# Cone axiom checking
-# ---------------------------------------------------------------------------
-
-def _nonzero_member(cone: PolyhedralCone) -> Vec | None:
-    """A nonzero member of the cone, or None when the cone is {0}."""
-    if cone.interior_point is not None:
-        return cone.interior_point
-    line = cone.lineality_witness()
-    if line is not None:
-        return line
-    # no line, so A is injective: every nonzero member has s = A x >= 0 with
-    # a positive coordinate sum, and scaling makes that sum 1
-    return _slack_solution(cone.rows, Fraction(0), slack_sum=Fraction(1))
-
-
-def check_cone_axioms(cone: PolyhedralCone) -> AxiomReport:
-    """Check the three cone axioms on a halfspace cone, each exactly.
-
-    Nontriviality (C1) is decided by exhibiting a nonzero member: the
-    interior point, else a line of the cone, else an exact feasibility
-    solve for A x >= 0 with 1 . A x = 1; when all three fail the cone is
-    {0}. Closure under nonnegative combinations holds by construction for
-    an intersection of halfspaces and is reported without a check;
-    pointedness is decided via the rank of the row matrix.
-    """
-    from .reports import AxiomCheck, AxiomReport
-
-    # C1: a nonzero member (closedness holds by construction, not tested)
-    nonzero = _nonzero_member(cone)
-    trivial = nonzero is None
-    checks = [
-        AxiomCheck(
-            axiom="C1",
-            passed=not trivial,
-            checks=1,
-            counterexample={"reason": "no x != 0 satisfies every row"} if trivial else None,
-            note="cone is trivial ({0})" if trivial
-            else f"nonzero member {nonzero} exhibited; closed by construction",
-        )
-    ]
-
-    checks.append(
-        AxiomCheck(
-            axiom="C2",
-            passed=True,
-            checks=0,
-            note="closed under nonnegative combinations by construction "
-            "(an intersection of halfspaces)",
-        )
-    )
-
-    # C3: pointedness, exact
-    pointed = cone.is_pointed()
-    c3_counter = None
-    if not pointed:
-        w = cone.lineality_witness()
-        c3_counter = {"x": w, "minus_x": -w}
-    checks.append(
-        AxiomCheck(
-            axiom="C3",
-            passed=pointed,
-            checks=1,
-            counterexample=c3_counter,
-            note="rank of row matrix equals dimension" if pointed else "row matrix rank deficient",
-        )
-    )
-    return AxiomReport(tuple(checks))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -24,7 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .cones import (
-    PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, as_rational, format_rational, plain_value,
+    _MAX_DIGITS, PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, _Record, as_rational,
+    format_rational, plain_value,
 )
 from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
 from .metric import (
@@ -47,8 +47,12 @@ if TYPE_CHECKING:  # result types, named in annotations only
     from .witnesses import WitnessTable, WitnessVerdict
 
 
-@dataclass
-class LoadedInstance:
+class LoadedInstance(_Record):
+    """An instance file's instance, queries and embedding; unlike the
+    other records it can be changed, so it has no hash."""
+
+    __slots__ = ("instance", "queries", "embedding")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
     instance: QcmInstance
     queries: list[Query]
     embedding: dict[Label, Vec] | None
@@ -58,9 +62,23 @@ def _fail(where: str, message: str) -> "InstanceFileError":
     return InstanceFileError(f"{where}: {message}")
 
 
+def _digits(n: int) -> int:
+    """The number of decimal digits of n > 0, found without rendering n:
+    an n of b bits has the t digits of 2^(b-1), which log10(2) to 20
+    places gives, or t + 1."""
+    t = (n.bit_length() - 1) * 30102999566398119521 // 10**20 + 1
+    return t + (n >= 10**t)
+
+
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise _fail(where, f"{value!r} is a binary float; write an exact literal like \"3/4\"")
+    # a JSON number gets the digit cap of a string literal: with the
+    # int-string limit off, json decodes an int of any length
+    if isinstance(value, int) and value and (digits := _digits(abs(value))) > _MAX_DIGITS:
+        raise _fail(
+            where, f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
+        )
     try:
         return as_rational(value)
     except NotARational as exc:

@@ -23,19 +23,16 @@ Every block read of the table is made here, so a query pays only for the
 entries it reads: ``_best_indices`` reads the one row d(q, H) or column
 d(H, q) of a best set, for best sets, Chebyshev classification and the
 witness search alike, and the exhaustive axiom checker reads the whole
-table, whose triangle inequality it checks on bit-packed rows.
+table, whose triangle inequality ``reports`` checks on bit-packed rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
 from math import lcm
-from operator import and_, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .cones import (
-    OrderedSpace, RationalLike, Vec, _literal_parts, _row_images, _vec_grid, as_rational,
+    OrderedSpace, RationalLike, Vec, _literal_parts, _Record, _row_images, _vec_grid, as_rational,
     format_rational, plain_value,
 )
 from .errors import DimensionMismatch, DuplicateLabel, UnknownLabel
@@ -54,8 +51,7 @@ DIRECTION_METRIC = "example3-direction-metric"
 ALPHA_METRIC = "example4-alpha-metric"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(_Record):
     """How an instance's table came to be.
 
     Generator provenances carry their parameters: the instance computes
@@ -63,9 +59,11 @@ class Provenance:
     against them exactly at construction time.
     """
 
+    __slots__ = ("kind", "alpha", "coordinates")
+    _defaults = {"alpha": None, "coordinates": None}
     kind: str
-    alpha: Fraction | None = None
-    coordinates: tuple[tuple[Label, Fraction], ...] | None = None
+    alpha: Fraction | None
+    coordinates: tuple[tuple[Label, Fraction], ...] | None
 
     def coordinate_map(self) -> dict[Label, Fraction]:
         return dict(self.coordinates or ())
@@ -238,13 +236,14 @@ class QcmInstance:
         )
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Record):
     """A target point, a nonempty candidate set, and a direction."""
 
+    __slots__ = ("q", "candidates", "direction")
+    _defaults = {"direction": FORWARD}
     q: Label
     candidates: frozenset[Label]
-    direction: str = FORWARD
+    direction: str
 
     def __post_init__(self):
         if isinstance(self.candidates, str):  # a string would be split into characters
@@ -435,10 +434,10 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
     per cone row (``QcmInstance._images``), so every order question below
     is an exact integer comparison; a ``Vec`` is built only for a
     counterexample. The triangle pass covers all |Q|^3 ordered triples,
-    on bit-packed rows (``_first_triangle_failure``); each failing check
+    on bit-packed rows (``reports._first_triangle_failure``); each failing check
     reports its first counterexample in ground-set order.
     """
-    from .reports import AxiomCheck, AxiomReport
+    from .reports import AxiomCheck, AxiomReport, _first_triangle_failure
 
     labels = instance.points
     n = len(labels)
@@ -478,82 +477,6 @@ def verify_axioms(instance: QcmInstance) -> AxiomReport:
         AxiomCheck("QCM3", triangle_counter is None, n**3, triangle_counter),
     )
     return AxiomReport(checks)
-
-
-# Lanes wider than this many bits fall back to the scan: see _first_packed_pair
-_MAX_LANE_BITS = 128
-
-
-def _first_triangle_failure(
-    images: Sequence[Sequence[int]], n: int
-) -> tuple[int, int, int] | None:
-    """First (i, j, l) in ground-set order with P(i,l) <= P(i,j) + P(j,l)
-    failing for some row's table P, where P(i,j) = image[i*n + j] and
-    ``images`` holds one image list per cone row. The first pair (i, j)
-    comes from the packed pass, or from the scan when some row needs
-    lanes wider than ``_MAX_LANE_BITS``; l from a scan of that pair."""
-    tables = [[image[i * n : (i + 1) * n] for i in range(n)] for image in images]
-    bounds = [max(map(abs, image)) for image in images]
-    widths = [(3 * m + 1).bit_length() + 1 for m in bounds]
-    if max(widths) <= _MAX_LANE_BITS:
-        pair = _first_packed_pair(tables, bounds, widths)
-    else:
-        pair = _first_scanned_pair(tables)
-    if pair is None:
-        return None
-    i, j = pair
-    l = next(l for l in range(n) if any(t[i][l] > t[i][j] + t[j][l] for t in tables))
-    return i, j, l
-
-
-def _first_packed_pair(
-    tables: list[list[Sequence[int]]], bounds: list[int], widths: list[int]
-) -> tuple[int, int] | None:
-    """The first (i, j) for which some l fails the triangle inequality, with
-    every table row packed into one int ("SIMD within a register";
-    Lamport, CACM 18(8), 1975). For a table P with |P| <= M and lanes of
-    B = bit_length(3M + 1) + 1 bits, lane l of ``down[j]`` holds
-    P(j,l) + M and lane l of ``up[i]`` holds P(i,l) + M + 2^(B-1) - 1.
-    Lane l of up[i] - down[j] - P(i,j) * ones is then
-    2^(B-1) - 1 + P(i,l) - P(i,j) - P(j,l), which lies in [0, 2^B), so no
-    lane borrows from the next, and its top bit is set exactly when
-    P(i,l) > P(i,j) + P(j,l). A row packs through one binary string, in
-    time linear in its bits. Each pair costs a few operations on ints of
-    n*B bits, where the scan makes n comparisons; at lanes past
-    ``_MAX_LANE_BITS`` the scan is faster."""
-    n = len(tables[0])
-    packs = []
-    for table, m, width in zip(tables, bounds, widths):
-        lane = f"0{width}b"
-        down = [
-            int("".join(map(format, map(m.__add__, reversed(row)), repeat(lane))), 2)
-            for row in table
-        ]
-        ones = int("1".zfill(width) * n, 2)
-        lift = ((1 << (width - 1)) - 1) * ones
-        packs.append((table, down, lift, ones, ones << (width - 1)))
-    for i in range(n):
-        first = n  # the first j with a hit so far, over the rows
-        for table, down, lift, ones, tops in packs:
-            up = down[i] + lift
-            excess = map(sub, map(sub, repeat(up), down), map(mul, table[i], repeat(ones)))
-            first = next(compress(range(first), map(and_, excess, repeat(tops))), first)
-        if first < n:
-            return i, first
-    return None
-
-
-def _first_scanned_pair(tables: list[list[Sequence[int]]]) -> tuple[int, int] | None:
-    """The first (i, j) for which some l fails the triangle inequality,
-    by comparing the entries themselves."""
-    n = len(tables[0])
-    for i in range(n):
-        for j in range(n):
-            for table in tables:
-                via = table[i][j]
-                if not all(direct <= via + onward for direct, onward in zip(table[i], table[j])):
-                    return i, j
-    return None
 
 
 def transpose(instance: QcmInstance) -> QcmInstance:

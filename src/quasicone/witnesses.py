@@ -22,11 +22,10 @@ projection by integer comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .cones import Vec, project
+from .cones import Vec, _Record, project
 from .errors import DimensionMismatch
 from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, directed_distance
 
@@ -35,10 +34,10 @@ SHIFT_NOT_IN_CONE = "f-shift-not-in-cone"
 GAP_NOT_IN_CONE = "d-gap-not-in-cone"
 
 
-@dataclass(frozen=True)
-class WitnessTable:
+class WitnessTable(_Record):
     """A candidate certificate: target point, direction, and the table f."""
 
+    __slots__ = ("q", "direction", "f")
     q: Label
     direction: str
     f: Mapping[Label, Vec]
@@ -55,8 +54,7 @@ class WitnessTable:
             raise ValueError(f"witness table has no value for point {label!r}") from None
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
+class WitnessVerdict(_Record):
     """Outcome of checking the three conditions.
 
     When the verdict fails, ``failed_condition`` names the first condition
@@ -65,9 +63,11 @@ class WitnessVerdict:
     cone (for the anchor condition: the mismatched table value).
     """
 
+    __slots__ = ("holds", "failed_condition", "counterexample")
+    _defaults = {"failed_condition": None, "counterexample": None}
     holds: bool
-    failed_condition: str | None = None
-    counterexample: tuple[Label, Vec] | None = None
+    failed_condition: str | None
+    counterexample: tuple[Label, Vec] | None
 
     def __post_init__(self):
         if not self.holds and (self.failed_condition is None or self.counterexample is None):

@@ -6,7 +6,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from quasicone import OrderedSpace, PolyhedralCone, QcmInstance, Query, Vec, exact_rank
-from quasicone.cones import _nonzero_member
+from quasicone.reports import _nonzero_member
 
 
 def rational_grid(start, stop, step):

@@ -477,6 +477,26 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"error: {path}: metric.alpha: rational literal has a run of 5000 digits" in result.stderr
 
+    def test_overlong_json_numbers_are_2_without_the_interpreter_limit(self, tmp_path):
+        # a subprocess, since the limit is read when the interpreter starts;
+        # with it off, json decodes an int of any length
+        entries = [[r, s, ["0" if r == s else "1"]] for r in "ab" for s in "ab"]
+        entries[1][2] = ["BIG"]
+        path = table_file(tmp_path, entries)
+        text = path.read_text()
+        src = Path(quasicone.__file__).parents[1]
+        for number in ("9" * 5000, "-" + "9" * 4301):
+            path.write_text(text.replace('"BIG"', number))
+            result = subprocess.run(
+                [sys.executable, "-m", "quasicone.cli", "verify", str(path)],
+                capture_output=True, text=True, timeout=30,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"},
+            )
+            assert result.returncode == 2, result.stderr
+            digits = len(number.lstrip("-"))
+            assert (f"metric.entries[1][2][0]: rational literal has a run of {digits} digits; "
+                    "at most 4300 are allowed") in result.stderr
+
     def test_values_past_the_input_limit_print(self, tmp_path):
         big = "1" + "0" * 3000
         doc = {

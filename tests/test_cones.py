@@ -20,7 +20,8 @@ from quasicone import (
     format_rational,
     kernel_vector,
 )
-from quasicone.cones import _nonzero_member, _slack_solution, project
+from quasicone.cones import _slack_solution, project
+from quasicone.reports import _nonzero_member
 
 from helpers import pointed_cones, vectors
 

@@ -1,7 +1,8 @@
 """The import contract: importing the package loads no submodule, each CLI
-command loads only the modules it runs, every public name resolves, on
-first read, to the object in its home module, and only the CLI program
-run as ``__main__`` turns the cyclic garbage collector off."""
+command loads only the modules it runs and never ``dataclasses``, every
+public name resolves, on first read, to the object in its home module, and
+only the CLI program run as ``__main__`` turns the cyclic garbage
+collector off."""
 import importlib
 import inspect
 import os
@@ -35,12 +36,20 @@ def run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
     return result
 
 
-def loaded_submodules(*args: str, cwd: Path) -> set[str]:
-    """The quasicone submodules that a fresh interpreter imports to run
-    ``python ARGS``, read from ``-X importtime``. ``python -m quasicone.cli``
-    runs the CLI module as ``__main__``, so it is never listed."""
+def loaded_modules(*args: str, cwd: Path) -> set[str]:
+    """The modules that a fresh interpreter imports to run ``python ARGS``,
+    read from ``-X importtime``. ``python -m quasicone.cli`` runs the CLI
+    module as ``__main__``, so it is never listed."""
     stderr = run_python("-X", "importtime", *args, cwd=cwd).stderr
-    return set(re.findall(r"^import time:.*\|\s*quasicone\.(\w+)$", stderr, re.M))
+    return set(re.findall(r"^import time:.*\|\s*([\w.]+)$", stderr, re.M))
+
+
+def loaded_submodules(*args: str, cwd: Path) -> set[str]:
+    """The quasicone submodules among ``loaded_modules(*args)``."""
+    return {
+        name.partition(".")[2] for name in loaded_modules(*args, cwd=cwd)
+        if name.startswith("quasicone.")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +65,35 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize(
-    "args,own",
-    [
-        (["verify", "ex.json"], {"reports"}),
-        (["approx", "ex.json"], {"approximation"}),
-        (["classify", "ex.json"], {"chebyshev"}),
-        (["witness", "ex.json", "--mode", "emit", "--witness-path", "emitted.json"], {"witnesses"}),
-        (["witness", "ex.json", "--mode", "check", "--witness-path", "w.json"], {"witnesses"}),
-        (["example", "example3", "--grid", "0:2:1"], set()),
-    ],
-    ids=["verify", "approx", "classify", "witness-emit", "witness-check", "example"],
-)
+EMIT = ["witness", "ex.json", "--mode", "emit", "--witness-path", "emitted.json"]
+CHECK = ["witness", "ex.json", "--mode", "check", "--witness-path", "w.json"]
+
+# each command, with the modules it loads on top of SHARED
+COMMANDS = {
+    "verify": (["verify", "ex.json"], {"reports"}),
+    "approx": (["approx", "ex.json"], {"approximation"}),
+    "classify": (["classify", "ex.json"], {"chebyshev"}),
+    "witness-emit": (EMIT, {"witnesses"}),
+    "witness-check": (CHECK, {"witnesses"}),
+    "example": (["example", "example3", "--grid", "0:2:1"], set()),
+    "verify-pretty": (["verify", "ex.json", "--pretty"], {"reports", "pretty"}),
+    "approx-pretty": (["approx", "ex.json", "--pretty"], {"approximation", "pretty"}),
+    "classify-pretty": (["classify", "ex.json", "--pretty"], {"chebyshev", "pretty"}),
+    "witness-emit-pretty": ([*EMIT, "--pretty"], {"witnesses", "pretty"}),
+    "witness-check-pretty": ([*CHECK, "--pretty"], {"witnesses", "pretty"}),
+}
+
+
+@pytest.mark.parametrize("args,own", COMMANDS.values(), ids=COMMANDS)
 def test_each_command_loads_only_its_modules(workdir, args, own):
     assert loaded_submodules("-m", "quasicone.cli", *args, cwd=workdir) == SHARED | own
+
+
+@pytest.mark.parametrize("args", [args for args, _ in COMMANDS.values()], ids=COMMANDS)
+def test_no_command_loads_dataclasses(workdir, args):
+    # the package's records define no generated methods, so importing
+    # dataclasses (and copy, which it imports) would only cost start-up
+    assert "dataclasses" not in loaded_modules("-m", "quasicone.cli", *args, cwd=workdir)
 
 
 def test_the_cli_program_runs_without_the_collector(workdir):

@@ -1,5 +1,4 @@
 """Instance builders, exhaustive axiom verification, and transposition."""
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from quasicone import (
     DuplicateLabel,
     OrderedSpace,
     PolyhedralCone,
+    Provenance,
     QcmInstance,
     Query,
     UnknownLabel,
@@ -23,7 +23,7 @@ from quasicone import (
     transpose,
     verify_axioms,
 )
-from quasicone import metric
+from quasicone import metric, reports
 from quasicone.cones import project
 from quasicone.files import instance_json, parse_instance
 from helpers import axiom_tables, rational_grid, read_blocks, vectors
@@ -120,7 +120,10 @@ class TestInstanceConstruction:
     def test_bad_generator_provenance_names_its_field(self, change, message):
         inst = build_example4([("0", 0), ("1", 1)], 2)
         table = {(r, s): v for r, s, v in inst.entries()}
-        provenance = dataclasses.replace(inst.provenance, **change)
+        p = inst.provenance
+        provenance = Provenance(
+            **{"kind": p.kind, "alpha": p.alpha, "coordinates": p.coordinates, **change}
+        )
         with pytest.raises(ValueError, match=message):
             QcmInstance(inst.space, inst.points, table, provenance)
 
@@ -131,8 +134,8 @@ class TestInstanceConstruction:
         # so only the coordinate check stands between it and a QCM2 failure
         inst = build([("0", 0), ("1", 1)])
         table = {(r, s): Vec.zero(2) for r in inst.points for s in inst.points}
-        provenance = dataclasses.replace(
-            inst.provenance, coordinates=(("0", Fraction(1)), ("1", Fraction(1)))
+        provenance = Provenance(
+            inst.provenance.kind, inst.provenance.alpha, (("0", Fraction(1)), ("1", Fraction(1)))
         )
         with pytest.raises(DuplicateLabel, match=r"^points '0' and '1' share coordinate 1; "):
             QcmInstance(inst.space, inst.points, table, provenance)
@@ -316,7 +319,7 @@ def explicit_instance(entries, dim=2):
     return QcmInstance(space, labels, table)
 
 
-# 3 * WIDE + 1 has more bits than metric._MAX_LANE_BITS, so the scan runs
+# 3 * WIDE + 1 has more bits than reports._MAX_LANE_BITS, so the scan runs
 WIDE = 2**130
 
 
@@ -361,7 +364,7 @@ class TestVerifyAxioms:
             ),
             None,
         )
-        assert metric._first_triangle_failure(images, n) == first
+        assert reports._first_triangle_failure(images, n) == first
 
     @pytest.mark.parametrize(
         "scale,unused", [(1, "_first_scanned_pair"), (WIDE, "_first_packed_pair")]
@@ -370,10 +373,10 @@ class TestVerifyAxioms:
         def fail(*args):
             raise AssertionError(f"{unused} ran")
 
-        monkeypatch.setattr(metric, unused, fail)
+        monkeypatch.setattr(reports, unused, fail)
         image = [scale * (i != j) for i in range(3) for j in range(3)]
         image[2] = 3 * scale  # d(0, 2) > d(0, 1) + d(1, 2)
-        assert metric._first_triangle_failure([image], 3) == (0, 1, 2)
+        assert reports._first_triangle_failure([image], 3) == (0, 1, 2)
 
     def test_direction_metric_exhaustive(self):
         inst = build_example3(rational_grid(-2, 2, "1/2"))
