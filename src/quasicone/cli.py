@@ -95,8 +95,10 @@ def _report(doc: dict, out: str | None, pretty: bool = False) -> None:
 
 
 def _select_queries(
-    loaded: LoadedInstance, selector: str, direction: str | None
+    loaded: LoadedInstance, selector: str, direction: str | None, all_keyword: bool = False
 ) -> list[Query]:
+    """The file queries that ``selector`` names; ``all`` names every query
+    only where ``all_keyword`` is set (``approx``), and is a label elsewhere."""
     queries = loaded.queries
     if not queries:
         raise _Failure(
@@ -108,7 +110,7 @@ def _select_queries(
         index = int(selector)
     except ValueError:
         index = None
-    if selector == "all":
+    if all_keyword and selector == "all":
         chosen = list(queries)
     elif index is not None and 0 <= index < len(queries):
         chosen = [queries[index]]
@@ -218,7 +220,7 @@ def approx(path, selector, direction, out, pretty):
         "file": path,
         "results": [
             approximation_json(q, best_approximation_set(loaded.instance, q))
-            for q in _select_queries(loaded, selector, direction)
+            for q in _select_queries(loaded, selector, direction, all_keyword=True)
         ],
     }
     _report(doc, out, pretty)

@@ -6,19 +6,21 @@ the ordered space, the labeled points, the metric (an explicit table or
 one of the closed-form generators), plus optional queries and an
 optional embedding for the linear-independence census. An explicit
 table is validated in full here, and its entries are converted only when
-the instance reads them. A table whose every literal is a plain string
-(``cones.PLAIN_LITERAL``) is accepted by a few whole-table passes that
-check each distinct literal once; any other table goes entry by entry,
-which names the first bad field and writes each literal that is not plain
-back as a plain one. Either way the instance keeps plain strings only.
+the instance reads them. Every table goes through one route: a few
+whole-table passes check its structure, and each distinct literal is
+screened once; only an entry holding a literal that is not a plain string
+(``cones.PLAIN_LITERAL``) is read element by element, which rejects the
+literal or writes it back plain, so the instance keeps plain strings
+only. An entry-by-entry loop runs only when a pass fails, to name the
+first bad field.
 """
 from __future__ import annotations
 
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -111,34 +113,52 @@ def _vec(value, where: str, dimension: int | None = None) -> Vec:
 _from, _to, _value = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
-def _plain_table(entries: list, known: set, dimension: int) -> dict | None:
-    """The table of ``entries`` when every entry is a list ``[from, to,
-    vector]`` of two labels in ``known`` and a list of ``dimension`` plain
-    literals, with no pair repeated; otherwise None, and the caller goes
-    entry by entry. Each check is one pass over the whole table, and each
-    distinct literal is matched once. No per-entry iterator is made: one
-    per entry (``zip(*entries)``) set off a full garbage collection while
-    loading a 14,400-entry table."""
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}):
-        return None
-    values = list(map(_value, entries))
-    if not (set(map(type, values)) <= {list} and set(map(len, values)) <= {dimension}):
-        return None
-    sources, targets = list(map(_from, entries)), list(map(_to, entries))
-    try:
-        if not (
-            known.issuperset(sources)
-            and known.issuperset(targets)
-            # a dict, not a set: it visits the literals in the order they were
-            # decoded, so in memory order; a set's hash order made the matches
-            # on a table of all-distinct literals about twice as slow
-            and all(map(_plain, dict.fromkeys(chain.from_iterable(values))))
+def _table(entries: list, known: set, dimension: int) -> dict:
+    """The table of ``entries``, each a list ``[from, to, vector]`` of two
+    labels in ``known`` and a list of ``dimension`` literals, with no pair
+    repeated. Each structural check is one pass over the whole table, and
+    one screen over the distinct literals finds those that are not plain
+    strings; only an entry holding one of them goes through ``_literals``,
+    which rejects the literal or writes it back plain. When a pass fails,
+    the per-entry loop names the first bad field and raises. No per-entry
+    iterator is made for a valid table: one per entry (``zip(*entries)``)
+    set off a full garbage collection while loading a 14,400-entry table."""
+    try:  # an unhashable label or literal fails a pass with a TypeError
+        if (
+            set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}
+            and set(map(type, values := list(map(_value, entries)))) <= {list}
+            and set(map(len, values)) <= {dimension}
+            and known.issuperset(sources := list(map(_from, entries)))
+            and known.issuperset(targets := list(map(_to, entries)))
+            and len(table := dict(zip(zip(sources, targets), map(tuple, values)))) == len(entries)
         ):
-            return None
-    except TypeError:  # an unhashable label or literal, or a literal that is not a string
-        return None
-    table = dict(zip(zip(sources, targets), map(tuple, values)))
-    return table if len(table) == len(entries) else None
+            # a dict, not a set: it visits the literals in the order they were
+            # decoded, so in memory order. It merges equal literals (JSON 1,
+            # 1.0 and true), so an entry is matched against the odd literals
+            # by equality and then read element by element, never looked up
+            # by a merged key
+            odd = {c for c in dict.fromkeys(chain.from_iterable(values))
+                   if type(c) is not str or not _plain(c)}
+            for i in compress(count(), map(not_, map(odd.isdisjoint, values))) if odd else ():
+                table[sources[i], targets[i]] = _literals(values[i], f"metric.entries[{i}][2]", dimension)
+            return table
+    except TypeError:
+        pass
+    seen = set()
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise _fail(f"metric.entries[{i}]", "expected [from, to, vector]")
+        src, dst, value = entry
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise _fail(f"metric.entries[{i}]", "from/to must be label strings")
+        if src not in known or dst not in known:
+            label = dst if src in known else src
+            raise _fail(f"metric.entries[{i}]", f"label {label!r} is not in 'points'")
+        if (src, dst) in seen:
+            raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
+        seen.add((src, dst))
+        _literals(value, f"metric.entries[{i}][2]", dimension)
+    raise AssertionError("the whole-table passes rejected a table with no bad field")
 
 
 def _require(doc: dict, key: str, where: str):
@@ -199,10 +219,10 @@ def parse_instance(doc: dict) -> LoadedInstance:
 
     A bad field raises ``InstanceFileError`` naming it, and a query label
     that is not a point raises ``UnknownLabel``. An explicit table is
-    checked in whole-table passes (``_plain_table``) when its literals are
-    all plain strings; otherwise, or when those passes reject it, entry by
-    entry, which names the first bad field. The instance keeps tuples of
-    plain strings copied out of ``doc``, never its lists."""
+    parsed once, by ``_table``: whole-table passes for a valid table, and
+    the entry-by-entry loop only to name the first bad field of an invalid
+    one. The instance keeps tuples of plain strings copied out of ``doc``,
+    never its lists."""
     if not isinstance(doc, dict):
         raise InstanceFileError("top level: expected a JSON object")
     points = _parse_points(_require(doc, "points", "top level"))
@@ -241,22 +261,7 @@ def parse_instance(doc: dict) -> LoadedInstance:
         entries_doc = _require(metric, "entries", "metric")
         if not isinstance(entries_doc, list):
             raise _fail("metric.entries", "expected an array of [from, to, vector] triples")
-        known = set(labels)
-        table = _plain_table(entries_doc, known, space.dimension)
-        if table is None:  # name the first bad field, or write literals that are not plain
-            table = {}
-            for i, entry in enumerate(entries_doc):
-                if not (isinstance(entry, list) and len(entry) == 3):
-                    raise _fail(f"metric.entries[{i}]", "expected [from, to, vector]")
-                src, dst, value = entry
-                if not (isinstance(src, str) and isinstance(dst, str)):
-                    raise _fail(f"metric.entries[{i}]", "from/to must be label strings")
-                if src not in known or dst not in known:
-                    label = dst if src in known else src
-                    raise _fail(f"metric.entries[{i}]", f"label {label!r} is not in 'points'")
-                if (src, dst) in table:
-                    raise _fail(f"metric.entries[{i}]", f"repeats the entry for ({src!r}, {dst!r})")
-                table[(src, dst)] = _literals(value, f"metric.entries[{i}][2]", space.dimension)
+        table = _table(entries_doc, set(labels), space.dimension)
         try:
             instance = QcmInstance._on_read(space, labels, literals=table)
         except ValueError as exc:  # the table is not total

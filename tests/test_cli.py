@@ -227,6 +227,35 @@ class TestWitnessCommand:
         assert result.stdout == ""
         assert run("witness", path, "--mode", "check", "--witness-path", wpath).exit_code == 0
 
+    def test_all_is_a_label_for_witness(self, beta_files, tmp_path):
+        """Only approx reads --query all as every query. For witness, 'all'
+        is a target label: a two-query file with no query at 'all' exits 3
+        instead of running query 0, and a point labeled 'all' is selected."""
+        path, _ = beta_files
+        doc = json.loads(path.read_text())
+        doc["queries"].append({"q": "0"})
+        path.write_text(json.dumps(doc))
+        result = run("witness", path, "--mode", "emit", "--query", "all")
+        assert result.exit_code == 3, result.output
+        assert "error: no query with target point 'all'\n" in result.stderr
+        assert result.stdout == ""
+        approx = run("approx", path, "--query", "all")
+        assert approx.exit_code == 0, approx.output
+        assert [r["q"] for r in json.loads(approx.stdout)["results"]] == ["1", "0"]
+
+        labeled = tmp_path / "labeled.json"
+        labeled.write_text(json.dumps({
+            "space": {"dimension": 1, "rows": [["1"]]},
+            "points": ["b", "all"],
+            "metric": {"kind": "table", "entries": [
+                [r, s, ["0" if r == s else "1"]] for r in ("b", "all") for s in ("b", "all")
+            ]},
+            "queries": [{"q": "b"}, {"q": "all"}],
+        }))
+        result = run("witness", labeled, "--mode", "emit", "--query", "all")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["witness"]["q"] == "all"
+
     def test_witness_without_an_entry_for_a_point_is_3(self, beta_files):
         path, wpath = beta_files
         doc = json.loads(wpath.read_text())
@@ -599,9 +628,9 @@ def respelled(literal: str, i: int):
 
 
 class TestRespelledTables:
-    """A table whose literals are not all plain goes entry by entry, and
-    the instance keeps the literals written back plain: every report is
-    the one of the plain file but for the file name."""
+    """A table whose literals are not all plain has those literals written
+    back plain, so every report is the one of the plain file but for the
+    file name."""
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_reports_equal_the_plain_files(self, tmp_path, seed):

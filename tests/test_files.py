@@ -494,7 +494,7 @@ class TestTableReadOnDemand:
 def entry_by_entry(entries, known, dimension):
     """The table branch of ``parse_instance`` as it stood before the
     whole-table passes: one entry at a time, raising on the first bad field.
-    Kept as the reference the passes are held to."""
+    Kept as the reference that ``files._table`` is held to."""
     table = {}
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -514,22 +514,27 @@ def entry_by_entry(entries, known, dimension):
 plain_literals = st.integers(-20, 20).map(str) | st.fractions(-5, 5, max_denominator=4).map(
     lambda f: f"{f.numerator}/{f.denominator}"
 )
-# plain literals, "2/4" (plain, not in lowest terms) and what the per-entry
-# loop converts or rejects: ints, padding, a zero denominator, a run past
-# the digit limit, a decimal, null, and values that are not scalars
+# plain literals, "2/4" (plain, not in lowest terms) and what ``_literals``
+# converts or rejects: ints, padding, a zero denominator, a run past the
+# digit limit, a decimal, null, floats and booleans equal to the ints 0 and
+# 1, and values that are not scalars
 table_literals = plain_literals | st.integers(-3, 3) | st.sampled_from(
-    [" 1", "2/4", "1/0", "9" * 4301, "1.5", None]
+    [" 1", "2/4", "1/0", "9" * 4301, "1.5", None, 1.0, 0.0, True, False]
 ) | st.lists(st.just("1"), max_size=2) | st.dictionaries(st.just("p"), st.just("1"), max_size=1)
+# few values that hash alike, so one document often holds a valid 0 or 1
+# before an equal float or boolean that is rejected
+equal_literals = st.sampled_from([0, 1, "0", "1", 0.0, 1.0, False, True])
 TABLE_DEFECTS = ["repeat", "unknown-label", "drop", "arity", "shape", "order"]
 
 
 @st.composite
 def table_documents(draw):
-    """A table document over random labels in dimension 1 to 3: half of them
-    hold plain literals only, the rest any literal, and some carry defects."""
+    """A table document over random labels in dimension 1 to 3: a third of
+    them hold plain literals only, a third any literal, a third literals
+    that hash alike, and some carry defects."""
     dimension = draw(st.integers(1, 3))
     labels = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
-    literal = draw(st.sampled_from([plain_literals, table_literals]))
+    literal = draw(st.sampled_from([plain_literals, table_literals, equal_literals]))
     vector = st.lists(literal, min_size=dimension, max_size=dimension)
     entries = [[r, s, draw(vector)] for r in labels for s in labels]
     label = st.sampled_from(labels)
@@ -574,22 +579,38 @@ class TestWholeTablePasses:
             return list(loaded.instance.entries())
 
         passes = outcome()
-        with mock.patch.object(files, "_plain_table", entry_by_entry):
+        with mock.patch.object(files, "_table", entry_by_entry):
             assert outcome() == passes
 
-        # the passes accept exactly the tables that the loop accepts and
-        # whose every literal in the document is a plain string already
+        # on every document, the passes return exactly the loop's table, in
+        # the same order, or raise its exact message
         entries, dimension = doc["metric"]["entries"], doc["space"]["dimension"]
-        try:
-            expected = entry_by_entry(entries, set(doc["points"]), dimension)
-        except InstanceFileError:
-            expected = None
-        else:
-            if not all(type(c) is str and PLAIN_LITERAL.fullmatch(c) for *_, v in entries for c in v):
-                expected = None
-        table = files._plain_table(entries, set(doc["points"]), dimension)
-        event("accepted by the passes" if table is not None else "sent entry by entry")
-        assert table == expected
+
+        def table(build):
+            try:
+                return list(build(entries, set(doc["points"]), dimension).items())
+            except InstanceFileError as exc:
+                return str(exc)
+
+        expected = table(entry_by_entry)
+        event("a table" if isinstance(expected, list) else "a bad field")
+        assert table(files._table) == expected
+
+    def test_only_entries_with_literals_that_are_not_plain_are_read_one_by_one(self, monkeypatch):
+        calls = []
+        literals = files._literals
+
+        def counting(value, where, dimension):
+            calls.append(where)
+            return literals(value, where, dimension)
+
+        plain = parse_instance(json.loads(json.dumps(TABLE_DOC))).instance
+        monkeypatch.setattr(files, "_literals", counting)
+        doc = json.loads(json.dumps(TABLE_DOC))
+        doc["metric"]["entries"][2][2][0] = 2
+        mixed = parse_instance(doc).instance
+        assert [where for where in calls if where.startswith("metric.")] == ["metric.entries[2][2]"]
+        assert list(mixed.entries()) == list(plain.entries())
 
     def test_kept_values_are_copies(self):
         doc = json.loads(json.dumps(TABLE_DOC))

@@ -272,9 +272,8 @@ def respell(literal, how, k):
 @st.composite
 def file_tables(draw):
     """A random explicit table, written by ``instance_json`` with its literals
-    respelled, and read back by ``parse_instance``. A table without padded
-    or number literals takes the whole-table passes, and one with them the
-    per-entry loop, which keeps those literals as ``Fraction``s."""
+    respelled, and read back by ``parse_instance``, which writes each padded
+    or number literal back as a plain string."""
     doc = instance_json(draw(axiom_tables()))
     ways = st.sampled_from(["plain", "unreduced", "signed", "padded", "number"])
     spelling = st.sampled_from(sorted(draw(st.sets(ways, min_size=1))))

@@ -7,15 +7,16 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Fourteen more invocations run once: ``example``
-itself, ``classify`` on a file without queries, the CLI's own exit 2 and 3
-checks, and ``verify``, ``approx`` and ``witness --mode emit`` on a copy of
-the seed 1 ``table30`` file whose table literals are respelled (``respell``),
-so that the parser's entry-by-entry path is compared too: 142 reports. For
-each invocation it keeps stdout, the exit code and stderr without its
-``elapsed:`` line. Commands run in OUT_DIR with
-relative paths, so the reports of two trees differ only where the program's
-answers or messages do:
+on each file: 128 reports. Seventeen more invocations run once:
+``example`` itself, ``classify`` on a file without queries, the CLI's own
+exit 2 and 3 checks, and ``verify``, ``approx`` and ``witness --mode emit``
+on two copies of the seed 1 ``table30`` file: one whose table literals are
+all respelled (``respell``) and one whose last entry's first literal alone
+is a JSON number (``mix``), so that the parser's writing back of literals
+that are not plain is compared too: 145 reports. For each invocation it
+keeps stdout, the exit code and stderr without its ``elapsed:`` line.
+Commands run in OUT_DIR with relative paths, so the reports of two trees
+differ only where the program's answers or messages do:
 
     python3 tools/cli_reports.py /path/to/old/src old-reports
     python3 tools/cli_reports.py src new-reports
@@ -62,11 +63,12 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
 
 
 def once_invocations(
-    queried: str, free: str, broken: str, respelled: str
+    queried: str, free: str, broken: str, respelled: str, mixed: str
 ) -> dict[str, list[str]]:
-    """The 14 invocations run once, in order, by report name: the second
+    """The 17 invocations run once, in order, by report name: the second
     and third write ``queried`` and ``free``, which later ones read,
-    ``broken`` holds ``{not json`` and ``respell`` writes ``respelled``."""
+    ``broken`` holds ``{not json``, ``respell`` writes ``respelled`` and
+    ``mix`` writes ``mixed``."""
     return {
         "example3-beta": ["example", "example3", "--grid", "-2:2:1/2", "--beta", "1"],
         "example4-backward": ["example", "example4", "--grid", "0:4:1/2", "--alpha", "2/3",
@@ -84,6 +86,9 @@ def once_invocations(
         "verify-respelled": ["verify", respelled],
         "approx-respelled": ["approx", respelled],
         "witness-emit-respelled": ["witness", respelled, "--mode", "emit"],
+        "verify-mixed": ["verify", mixed],
+        "approx-mixed": ["approx", mixed],
+        "witness-emit-mixed": ["witness", mixed, "--mode", "emit"],
     }
 
 
@@ -98,6 +103,15 @@ def respell(plain: Path, respelled: Path) -> None:
             for k, c in enumerate(value)
         ]
     respelled.write_text(json.dumps(doc) + "\n")
+
+
+def mix(plain: Path, mixed: Path) -> None:
+    """Copy an instance file with the first literal of its last table entry,
+    an integer, written as a JSON number, and every other literal as it is."""
+    doc = json.loads(plain.read_text())
+    value = doc["metric"]["entries"][-1][2]
+    value[0] = int(value[0])
+    mixed.write_text(json.dumps(doc) + "\n")
 
 
 def corrupt(witness: Path, corrupted: Path) -> None:
@@ -154,9 +168,11 @@ def main(argv: list[str]) -> int:
     (out / "files" / "once" / "broken.json").write_text("{not json")
     respell(out / "files" / "verify-dense-1" / "table30.json",
             out / "files" / "once" / "table30-respelled.json")
+    mix(out / "files" / "verify-dense-1" / "table30.json",
+        out / "files" / "once" / "table30-mixed.json")
     once = once_invocations(
         "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json",
-        "files/once/table30-respelled.json",
+        "files/once/table30-respelled.json", "files/once/table30-mixed.json",
     )
     for report, args in once.items():
         record(args, out / "reports" / "once", report)
