@@ -46,7 +46,7 @@ from pathlib import Path
 
 import click
 
-from .errors import InstanceFileError, NotARational, UnknownLabel
+from .errors import DimensionMismatch, InstanceFileError, NotARational, UnknownLabel
 from .files import (
     LoadedInstance,
     approximation_json,
@@ -81,7 +81,8 @@ class _Failure(Exception):
 
 def _report(doc: dict, out: str | None, pretty: bool = False) -> None:
     """Write the document as indented JSON, or in its human-readable form
-    (``pretty.render``), to the file ``out`` or to stdout."""
+    (``pretty.render``), to the file ``out`` or to stdout. A path that
+    cannot be written is a bad option value (exit 3)."""
     if pretty:
         from .pretty import render
 
@@ -89,7 +90,10 @@ def _report(doc: dict, out: str | None, pretty: bool = False) -> None:
     else:
         text = json.dumps(doc, indent=2) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _Failure(EXIT_SEMANTIC, f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         click.echo(text, nl=False)
 
@@ -251,7 +255,7 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     In check mode without --members, the verdict holds when the table
     certifies at least one candidate; the certified set is reported.
     """
-    from .witnesses import _Conditions, canonical_witness, verify_witness_for_set
+    from .witnesses import _Conditions, canonical_witness
 
     if members and mode == "emit":
         raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
@@ -274,33 +278,29 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     if not witness_path:
         raise _Failure(EXIT_SEMANTIC, "check mode needs --witness-path")
     table = load_witness_file(witness_path)
-    # a label that is not a point, or a point with no entry, is a semantic
-    # error (exit 3), as in a query; a vector of the wrong length is a parse
-    # error (exit 2), as in a table. The table keeps the file's order of f.
+    # _Conditions checks the table against the instance and names the bad
+    # field. The CLI adds the rule that q is the query's point (once q is a
+    # point, so the messages keep their order), the file's path, and the
+    # exit codes: a vector of the wrong length is a parse error (exit 2), as
+    # in a table; a label that is not a point, or a point with no entry, is
+    # a semantic error (exit 3), as in a query.
     instance, where = loaded.instance, Path(witness_path)
-    if not instance.has_point(table.q):
-        raise UnknownLabel(f"{where}: witness.q: unknown point label {table.q!r}")
-    if table.q != query.q:
+    if instance.has_point(table.q) and table.q != query.q:
         raise ValueError(f"{where}: witness.q: {table.q!r} is not the query point {query.q!r}")
-    dimension = instance.space.dimension
-    for i, (label, value) in enumerate(table.f.items()):
-        if not instance.has_point(label):
-            raise UnknownLabel(f"{where}: witness.f[{i}]: unknown point label {label!r}")
-        if value.dimension != dimension:
-            raise InstanceFileError(
-                f"{where}: witness.f[{i}][1]: expected {dimension} coordinates, "
-                f"got {value.dimension}"
-            )
-    missing = next((x for x in instance.points if x not in table.f), None)
-    if missing is not None:
-        raise _Failure(EXIT_SEMANTIC, f"{where}: witness.f: no entry for point {missing!r}")
+    try:
+        conditions = _Conditions(instance, table, candidates)
+    except DimensionMismatch as exc:
+        raise InstanceFileError(f"{where}: {exc}") from None
+    except (UnknownLabel, ValueError) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
     if members:
-        verdict = verify_witness_for_set(instance, table, candidates, members)
+        verdict = conditions.set_verdict(members)
         certified = sorted(set(members)) if verdict.holds else []
         verdict_doc = verdict_json(verdict)
         failure = f"witness check failed: {verdict.failed_condition}"
     else:
-        certified = _Conditions(instance, table, candidates).certified()
+        certified = conditions.certified()
         verdict_doc = (
             {"holds": True} if certified
             else {"holds": False, "reason": "witness certifies no candidate"}

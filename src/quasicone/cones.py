@@ -190,16 +190,6 @@ class Vec(_Record):
     def __init__(self, coords: Iterable[RationalLike]):
         object.__setattr__(self, "coords", tuple(as_rational(c) for c in coords))
 
-    # == and hash as the base has them, without its per-call lookups, since
-    # vectors are compared in inner loops
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
     @classmethod
     def _trusted(cls, coords: tuple[Fraction, ...]) -> "Vec":
         """A vector over a tuple that already holds only ``Fraction``s,

@@ -16,9 +16,13 @@ d(x, q)): anchor and gap hold for every candidate, and shift holds
 exactly for the best ones.
 
 Every check of a table goes through one ``_Conditions`` object per table
-and candidate set. It validates the inputs, projects f and the distances
-once through the cone rows, and decides every member from that one
-projection by integer comparisons.
+and candidate set, the library's and ``witness --mode check``'s alike. It
+is the only code that checks a table against an instance: q, then each
+entry of f in f's own order (its label, then its vector's length), then
+that f covers every point, then that the candidates are points. Each
+message names the field of a witness file, such as ``witness.f[3][1]``.
+It then projects f and the distances once through the cone rows, and
+decides every member from that one projection by integer comparisons.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .cones import Vec, _Record, project
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UnknownLabel
 from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, directed_distance
 
 ANCHOR_EQUALITY = "anchor-equality"
@@ -94,29 +98,35 @@ def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 class _Conditions:
     """The three conditions for every anchor in one candidate set.
 
-    The constructor checks its inputs: q, the candidates and every label
-    of f must be points (``UnknownLabel``, naming the first label of f in
-    its own order that is not), and the table must cover every ground-set
-    point (``ValueError``) at the space's dimension (``DimensionMismatch``).
-    f and the distance row over the candidates are then projected once, in
-    one call so that their images share a scale; each anchor is decided
-    by integer comparisons, and a counterexample vector is built only for
-    a failing verdict.
+    The constructor checks its inputs, in this order, and each message
+    names the field of a witness file: q must be a point
+    (``witness.q``, ``UnknownLabel``); each entry of f, in f's own order,
+    must have a point as its label (``witness.f[i]``, ``UnknownLabel``) and
+    a vector of the space's dimension (``witness.f[i][1]``,
+    ``DimensionMismatch``); f must have an entry for every point
+    (``witness.f``, ``ValueError``); and the candidates must be points
+    (``UnknownLabel``). f and the distance row over the candidates are then
+    projected once, in one call so that their images share a scale; each
+    anchor is decided by integer comparisons, and a counterexample vector
+    is built only for a failing verdict.
     """
 
     def __init__(self, instance: QcmInstance, witness: WitnessTable, candidates: Iterable[Label]):
-        instance.require_points([witness.q])
+        if not instance.has_point(witness.q):
+            raise UnknownLabel(f"witness.q: unknown point label {witness.q!r}")
+        dimension = instance.space.dimension
+        for i, (label, value) in enumerate(witness.f.items()):
+            if not instance.has_point(label):
+                raise UnknownLabel(f"witness.f[{i}]: unknown point label {label!r}")
+            if value.dimension != dimension:
+                raise DimensionMismatch(
+                    f"witness.f[{i}][1]: expected {dimension} coordinates, got {value.dimension}"
+                )
+        missing = next((x for x in instance.points if x not in witness.f), None)
+        if missing is not None:
+            raise ValueError(f"witness.f: no entry for point {missing!r}")
         self.candidates = candidates = sorted(set(candidates))
         instance.require_points(candidates)
-        instance.require_points(witness.f)
-        for x in instance.points:
-            if x not in witness.f:
-                raise ValueError(f"witness table does not cover ground-set point {x!r}")
-            if witness.f[x].dimension != instance.space.dimension:
-                raise DimensionMismatch(
-                    f"witness value for {x!r} has dimension {witness.f[x].dimension}, "
-                    f"space has {instance.space.dimension}"
-                )
         self.f = [witness.f[x] for x in candidates]
         self.d = [directed_distance(instance, witness.q, x, witness.direction) for x in candidates]
         images = project(instance.space.cone, self.f + self.d)
@@ -146,6 +156,22 @@ class _Conditions:
     def certified(self) -> list[Label]:
         """The candidates the table certifies, in label order."""
         return [h for i, h in enumerate(self.candidates) if self.verdict(i).holds]
+
+    def set_verdict(self, members: Iterable[Label]) -> WitnessVerdict:
+        """The verdict for every member at once: that of the first failing
+        member in label order, or one that holds. Members that are not
+        candidates raise ``ValueError``."""
+        members = sorted(set(members))
+        missing = [m for m in members if m not in self.candidates]
+        if missing:
+            raise ValueError(
+                f"members {missing} are not contained in the candidate set"
+            )
+        for m in members:
+            verdict = self.verdict(self.candidates.index(m))
+            if not verdict.holds:
+                return verdict
+        return WitnessVerdict(True)
 
 
 def verify_witness_for_element(
@@ -179,18 +205,7 @@ def verify_witness_for_set(
     agree, since each member's anchor precedes every other's and the
     order is antisymmetric. The empty member set holds vacuously.
     """
-    conditions = _Conditions(instance, witness, candidates)
-    members = sorted(set(members))
-    missing = [m for m in members if m not in conditions.candidates]
-    if missing:
-        raise ValueError(
-            f"members {missing} are not contained in the candidate set"
-        )
-    for m in members:
-        verdict = conditions.verdict(conditions.candidates.index(m))
-        if not verdict.holds:
-            return verdict
-    return WitnessVerdict(True)
+    return _Conditions(instance, witness, candidates).set_verdict(members)
 
 
 def default_witness_pool(

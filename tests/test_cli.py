@@ -10,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import quasicone
-from quasicone import Query
+from quasicone import Query, UnknownLabel, verify_witness_for_set
 from quasicone.cli import main
-from quasicone.files import instance_json
+from quasicone.files import instance_json, load_instance_file, load_witness_file
 from helpers import random_table_instance
 
 runner = CliRunner()
@@ -277,6 +277,34 @@ class TestWitnessCommand:
         assert f"error: {wpath}: witness.f[0][1]: expected 2 coordinates, got 1\n" in result.stderr
         assert result.stdout == ""
 
+    def test_library_and_check_mode_name_the_same_field(self, beta_files):
+        """verify_witness_for_set and check mode reject a bad table with one
+        message: the CLI's is the library's after the witness file's path."""
+        path, wpath = beta_files
+        doc = json.loads(wpath.read_text())
+        loaded = load_instance_file(path)
+        query = loaded.queries[0]
+        edits = {  # name: (edit, exit code)
+            "q not a point": (lambda d: d.update(q="ghost"), 3),
+            "f label not a point": (lambda d: d["f"][2].__setitem__(0, "ghost"), 3),
+            "short vector": (lambda d: d["f"][3].__setitem__(1, ["0"]), 2),
+            "entry deleted": (lambda d: d["f"].pop(1), 3),
+        }
+        for name, (edit, code) in edits.items():
+            bad = json.loads(json.dumps(doc))
+            edit(bad)
+            wpath.write_text(json.dumps(bad))
+            result = run("witness", path, "--mode", "check", "--witness-path", wpath)
+            assert result.exit_code == code, (name, result.output)
+            prefix = f"error: {wpath}: "
+            line = result.stderr.splitlines()[0]
+            assert line.startswith(prefix), (name, line)
+            with pytest.raises((UnknownLabel, ValueError)) as caught:
+                verify_witness_for_set(
+                    loaded.instance, load_witness_file(wpath), query.candidates, []
+                )
+            assert str(caught.value) == line[len(prefix):], name
+
     def test_bad_witness_direction_is_2(self, beta_files):
         path, wpath = beta_files
         doc = json.loads(wpath.read_text())
@@ -324,6 +352,20 @@ class TestExitCodes:
         result = run("verify", path)
         assert (f"error: {path}: invalid JSON: a number exceeds the "
                 f"{sys.get_int_max_str_digits()}-digit limit\n") in result.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["approx", "{file}", "--out", "{target}"],
+        ["witness", "{file}", "--mode", "emit", "--witness-path", "{target}"],
+        ["example", "example4", "--grid", "0:2:1", "--out", "{target}"],
+    ], ids=["approx", "witness-emit", "example"])
+    def test_unwritable_output_path_is_3(self, slack_file, tmp_path, command):
+        target = tmp_path / "nodir" / "out.json"
+        result = run(*(a.format(file=slack_file, target=target) for a in command))
+        assert result.exit_code == 3, result.output
+        assert f"error: cannot write {target}: No such file or directory\n" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert not target.parent.exists()
 
     def test_unknown_query_label_is_3(self, tmp_path):
         doc = {

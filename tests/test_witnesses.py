@@ -134,7 +134,7 @@ class TestElementVerification:
         with pytest.raises(ValueError, match="not in the candidate set"):
             verify_witness_for_element(instance, w, {"0", "1"}, "2")
         partial = WitnessTable("0", FORWARD, {"0": Vec.zero(2)})
-        with pytest.raises(ValueError, match="does not cover"):
+        with pytest.raises(ValueError, match=r"^witness\.f: no entry for point '1/4'$"):
             verify_witness_for_element(instance, partial, {"0", "1"}, "0")
 
     def test_wrong_dimension_outside_the_candidates(self):
@@ -142,7 +142,9 @@ class TestElementVerification:
         instance = alpha_instance(5)
         w = canonical_witness(instance, "5")
         ragged = WitnessTable("5", FORWARD, {**w.f, "5": Vec.of(0, 0, 0)})
-        with pytest.raises(DimensionMismatch, match="witness value for '5' has dimension 3"):
+        with pytest.raises(
+            DimensionMismatch, match=r"^witness\.f\[9\]\[1\]: expected 2 coordinates, got 3$"
+        ):
             verify_witness_for_element(instance, ragged, H_LABELS, "2")
 
     def test_label_of_f_that_is_not_a_point(self):

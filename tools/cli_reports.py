@@ -7,13 +7,15 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Seventeen more invocations run once:
+on each file: 128 reports. Twenty-three more invocations run once:
 ``example`` itself, ``classify`` on a file without queries, the CLI's own
-exit 2 and 3 checks, and ``verify``, ``approx`` and ``witness --mode emit``
+exit 2 and 3 checks, ``verify``, ``approx`` and ``witness --mode emit``
 on two copies of the seed 1 ``table30`` file: one whose table literals are
 all respelled (``respell``) and one whose last entry's first literal alone
 is a JSON number (``mix``), so that the parser's writing back of literals
-that are not plain is compared too: 145 reports. For each invocation it
+that are not plain is compared too, and ``witness --mode check`` on five
+edited copies of one emitted witness file (``edit_witness``), one for each
+check of a table against its instance: 151 reports. For each invocation it
 keeps stdout, the exit code and stderr without its ``elapsed:`` line.
 Commands run in OUT_DIR with relative paths, so the reports of two trees
 differ only where the program's answers or messages do:
@@ -63,12 +65,19 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
 
 
 def once_invocations(
-    queried: str, free: str, broken: str, respelled: str, mixed: str
+    queried: str, free: str, broken: str, respelled: str, mixed: str, witness: str
 ) -> dict[str, list[str]]:
-    """The 17 invocations run once, in order, by report name: the second
+    """The 23 invocations run once, in order, by report name: the second
     and third write ``queried`` and ``free``, which later ones read,
-    ``broken`` holds ``{not json``, ``respell`` writes ``respelled`` and
-    ``mix`` writes ``mixed``."""
+    ``broken`` holds ``{not json``, ``respell`` writes ``respelled``,
+    ``mix`` writes ``mixed``, ``witness-emit-file`` writes ``witness`` and
+    ``edit_witness`` its edited copies, which the last five read."""
+    edited = witness.removesuffix(".json")
+    checks = {
+        f"witness-check-{edit}": ["witness", queried, "--mode", "check",
+                                  "--witness-path", f"{edited}-{edit}.json"]
+        for edit in WITNESS_EDITS
+    }
     return {
         "example3-beta": ["example", "example3", "--grid", "-2:2:1/2", "--beta", "1"],
         "example4-backward": ["example", "example4", "--grid", "0:4:1/2", "--alpha", "2/3",
@@ -89,6 +98,8 @@ def once_invocations(
         "verify-mixed": ["verify", mixed],
         "approx-mixed": ["approx", mixed],
         "witness-emit-mixed": ["witness", mixed, "--mode", "emit"],
+        "witness-emit-file": ["witness", queried, "--mode", "emit", "--witness-path", witness],
+        **checks,
     }
 
 
@@ -112,6 +123,27 @@ def mix(plain: Path, mixed: Path) -> None:
     value = doc["metric"]["entries"][-1][2]
     value[0] = int(value[0])
     mixed.write_text(json.dumps(doc) + "\n")
+
+
+# One edit of a witness file for each check of its table against the
+# instance: q, the query's point, an f label, an f vector's length and an
+# entry for every point.
+WITNESS_EDITS = {
+    "q-not-a-point": lambda doc: doc.update(q="ghost"),
+    "q-another-point": lambda doc: doc.update(q=doc["f"][0][0]),
+    "f-label-not-a-point": lambda doc: doc["f"][1].__setitem__(0, "ghost"),
+    "short-vector": lambda doc: doc["f"][2][1].pop(),
+    "entry-deleted": lambda doc: doc["f"].pop(3),
+}
+
+
+def edit_witness(witness: Path) -> None:
+    """Write one copy of a witness file for each of ``WITNESS_EDITS``,
+    named after the file with the edit's name appended."""
+    for edit, change in WITNESS_EDITS.items():
+        doc = json.loads(witness.read_text())
+        change(doc)
+        witness.with_name(f"{witness.stem}-{edit}.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def corrupt(witness: Path, corrupted: Path) -> None:
@@ -173,9 +205,12 @@ def main(argv: list[str]) -> int:
     once = once_invocations(
         "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json",
         "files/once/table30-respelled.json", "files/once/table30-mixed.json",
+        "files/once/example4.witness.json",
     )
     for report, args in once.items():
         record(args, out / "reports" / "once", report)
+        if report == "witness-emit-file":
+            edit_witness(out / "files" / "once" / "example4.witness.json")
     for report in broken:
         print(f"exit 1 or traceback: {report}", file=sys.stderr)
     return 1 if broken else 0
