@@ -7,7 +7,12 @@ effect. Wall-clock timing goes to stderr so it never perturbs a report.
 Exit codes: 0 success, 2 file parse error, 3 semantic error (unknown
 labels, missing embedding, bad selectors, oversized grids, an option the
 command or mode does not use), 4 axiom failure, 5 verdict failure (a
-witness check or classification that does not hold).
+witness check or classification that does not hold). A command line the
+parser rejects (a missing or unknown command, option or value, or a PATH
+that is not a readable file) also exits 2.
+
+The parser is the standard library's ``argparse``, which costs an
+interpreter start a few milliseconds; no third-party package is imported.
 
 Each run is a fresh interpreter, which compiles every module it loads
 when no bytecode cache exists, so the module level imports only what
@@ -22,8 +27,8 @@ collector off before anything else is imported: every object a command
 builds lives until the process exits, so a collection pass can free
 nothing and only costs time (about a hundred passes while a 14,400-entry
 table is decoded and indexed). Importing the module leaves the collector
-alone, so tests, ``CliRunner`` and the installed ``quasicone`` script run
-with it on.
+alone, so tests that call ``main`` and the installed ``quasicone`` script
+run with it on.
 """
 from __future__ import annotations
 
@@ -37,14 +42,14 @@ import gc
 if __name__ == "__main__":
     gc.disable()
 
+import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from .errors import DimensionMismatch, InstanceFileError, NotARational, UnknownLabel
 from .files import (
@@ -58,7 +63,7 @@ from .files import (
     verdict_json,
     witness_json,
 )
-from .metric import BACKWARD, FORWARD, Query, build_example3, build_example4, verify_axioms
+from .metric import DIRECTIONS, FORWARD, Query, build_example3, build_example4, verify_axioms
 
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
@@ -95,7 +100,7 @@ def _report(doc: dict, out: str | None, pretty: bool = False) -> None:
         except OSError as exc:
             raise _Failure(EXIT_SEMANTIC, f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _select_queries(
@@ -134,7 +139,8 @@ def _select_queries(
 
 def _exits(command):
     """Run a command, mapping library errors to exit codes, and print the
-    elapsed time to stderr. Goes under the click decorators."""
+    elapsed time to stderr. ``main`` calls the wrapped command with the
+    parsed options as keywords."""
 
     @functools.wraps(command)
     def run(**options):
@@ -142,42 +148,25 @@ def _exits(command):
         try:
             command(**options)
         except _Failure as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(exc.code)
         except InstanceFileError as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_PARSE)
         except _SEMANTIC_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
+            print(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_SEMANTIC)
         finally:
             elapsed = time.perf_counter() - started
-            click.echo(f"elapsed: {elapsed:.3f}s", err=True)
+            print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
 
     return run
-
-
-def _report_options(fn):
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="Write the report to this file instead of stdout.")(fn)
-    fn = click.option("--pretty", is_flag=True, help="Human-readable report.")(fn)
-    return fn
-
-
-@click.group()
-def main():
-    """Exact best-approximation toolkit for finite quasi-cone metric instances."""
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Accepted for compatibility; has no effect, as every check is exact.")
-@_report_options
 @_exits
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
@@ -204,15 +193,6 @@ def verify(path, seed, out, pretty):
 # approx
 # ---------------------------------------------------------------------------
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--query", "selector", default="all", show_default=True,
-              help="Which file query to run: 'all', an index, or a target label. "
-                   "An integer in range is an index; any other value selects "
-                   "the queries with that target label.")
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
-              help="Override the direction of the selected queries.")
-@_report_options
 @_exits
 def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
@@ -234,20 +214,6 @@ def approx(path, selector, direction, out, pretty):
 # witness
 # ---------------------------------------------------------------------------
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--mode", type=click.Choice(["emit", "check"]), required=True)
-@click.option("--query", "selector", default="0", show_default=True,
-              help="File query supplying q and the candidate set: an index, "
-                   "or a target label. An integer in range is an index; any "
-                   "other value selects the first query with that target label.")
-@click.option("--witness-path", type=click.Path(dir_okay=False), default=None,
-              help="Where to write (emit) or read (check) the witness file.")
-@click.option("--members", multiple=True,
-              help="Check mode only: check the witness for exactly these members (repeatable).")
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
-              help="Emit mode only: override the direction of the selected query.")
-@_report_options
 @_exits
 def witness(path, mode, selector, witness_path, members, direction, out, pretty):
     """Emit the canonical witness for a query, or check a witness file.
@@ -323,14 +289,6 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
 # classify
 # ---------------------------------------------------------------------------
 
-@main.command(name="classify")
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
-              help="Override the family direction.")
-@click.option("--pseudo/--no-pseudo", "pseudo", default=None,
-              help="Force or skip the linear-independence census "
-                   "(default: run it when the file has an embedding).")
-@_report_options
 @_exits
 def classify_cmd(path, direction, pseudo, out, pretty):
     """Classify the candidate set over the file's query family.
@@ -408,18 +366,6 @@ def _parse_grid(spec: str) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
-@main.command()
-@click.argument("name", type=click.Choice(["example3", "example4"]))
-@click.option("--grid", required=True,
-              help="Candidate grid as start:stop:step with rational parts, e.g. 0:2:1/4.")
-@click.option("--alpha", default=None,
-              help="Slack parameter; example4 only, default 1.")
-@click.option("--beta", default=None,
-              help="Query parameter; the query point is beta^2 for example3 "
-                   "and beta itself for example4.")
-@click.option("--direction", type=click.Choice([FORWARD, BACKWARD]), default=None,
-              help="Direction of the --beta query; needs --beta, default forward.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_exits
 def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
@@ -448,6 +394,128 @@ def example(name, grid, alpha, beta, direction, out):
     else:
         instance = build_example4(points, as_rational("1" if alpha is None else alpha))
     _report(instance_json(instance, queries), out)
+
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+def _input_file(value: str) -> str:
+    """PATH: a file that exists, is not a directory and can be read."""
+    if not os.path.exists(value):
+        raise argparse.ArgumentTypeError(f"file {value!r} does not exist")
+    return _output_file(value)
+
+
+def _output_file(value: str) -> str:
+    """A file to write or read: not a directory, and readable if it exists."""
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    if os.path.exists(value) and not os.access(value, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {value!r} is not readable")
+    return value
+
+
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the options that take a value."""
+    shared = {"add_help": False, "allow_abbrev": False}
+    parser = argparse.ArgumentParser(
+        prog="python -m quasicone.cli" if __name__ == "__main__" else "quasicone",
+        description="Exact best-approximation toolkit for finite quasi-cone metric instances.",
+        **shared,
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, report=True):
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.partition("\n")[0], description=doc, **shared)
+        sub.set_defaults(run=run)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        if report:
+            sub.add_argument("path", metavar="PATH", type=_input_file)
+            sub.add_argument("--out", type=_output_file, metavar="FILE",
+                             help="Write the report to this file instead of stdout.")
+            sub.add_argument("--pretty", action="store_true", help="Human-readable report.")
+        return sub.add_argument
+
+    add = command("verify", verify)
+    add("--seed", type=int, default=0,
+        help="Accepted for compatibility; has no effect, as every check is exact.  "
+             "[default: %(default)s]")
+
+    add = command("approx", approx)
+    add("--query", dest="selector", metavar="QUERY", default="all",
+        help="Which file query to run: 'all', an index, or a target label. An integer in "
+             "range is an index; any other value selects the queries with that target "
+             "label. [default: %(default)s]")
+    add("--direction", choices=DIRECTIONS,
+        help="Override the direction of the selected queries.")
+
+    add = command("witness", witness)
+    add("--mode", choices=("emit", "check"), required=True)
+    add("--query", dest="selector", metavar="QUERY", default="0",
+        help="File query supplying q and the candidate set: an index, or a target label. "
+             "An integer in range is an index; any other value selects the first query "
+             "with that target label. [default: %(default)s]")
+    add("--witness-path", type=_output_file, metavar="FILE",
+        help="Where to write (emit) or read (check) the witness file.")
+    add("--members", action="append", default=[], metavar="LABEL",
+        help="Check mode only: check the witness for exactly these members (repeatable).")
+    add("--direction", choices=DIRECTIONS,
+        help="Emit mode only: override the direction of the selected query.")
+
+    add = command("classify", classify_cmd)
+    add("--direction", choices=DIRECTIONS,
+        help="Override the family direction.")
+    add("--pseudo", action=argparse.BooleanOptionalAction,
+        help="Force or skip the linear-independence census "
+             "(default: run it when the file has an embedding).")
+
+    add = command("example", example, report=False)
+    add("name", choices=("example3", "example4"))
+    add("--grid", required=True,
+        help="Candidate grid as start:stop:step with rational parts, e.g. 0:2:1/4.")
+    add("--alpha", help="Slack parameter; example4 only, default 1.")
+    add("--beta", help="Query parameter; the query point is beta^2 for example3 "
+                       "and beta itself for example4.")
+    add("--direction", choices=DIRECTIONS,
+        help="Direction of the --beta query; needs --beta, default forward.")
+    add("--out", type=_output_file, metavar="FILE")
+
+    valued = {
+        name for sub in commands.choices.values() for action in sub._actions
+        if action.nargs != 0 for name in action.option_strings
+    }
+    return parser, valued
+
+
+def _joined(argv: list[str], valued: set[str]) -> list[str]:
+    """``argv`` with each ``--option VALUE`` of an option that takes a value
+    written as ``--option=VALUE``, up to a ``--``, so that a value that
+    starts with ``-``, such as the grid ``-2:2:1/2``, is read as the value
+    and not as an option."""
+    joined, i = [], 0
+    while i < len(argv):
+        word = argv[i]
+        if word == "--":
+            return joined + argv[i:]
+        if word in valued and i + 1 < len(argv):
+            i += 1
+            word = f"{word}={argv[i]}"
+        joined.append(word)
+        i += 1
+    return joined
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Exact best-approximation toolkit for finite quasi-cone metric
+    instances: run the command that ``argv`` (by default ``sys.argv[1:]``)
+    names. A command line the parser rejects exits 2."""
+    parser, valued = _parser()
+    options = vars(parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv), valued)))
+    options.pop("run")(**options)
 
 
 if __name__ == "__main__":

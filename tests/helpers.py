@@ -1,12 +1,44 @@
-"""Shared builders for tests: rational grids and seeded random instances."""
+"""Shared builders for tests: rational grids, seeded random instances, and
+an in-process runner of the CLI."""
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+import io
 import random
+from typing import NamedTuple
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from quasicone import OrderedSpace, PolyhedralCone, QcmInstance, Query, Vec, exact_rank
+from quasicone.cli import main
 from quasicone.reports import _nonzero_member
+
+
+class CliResult(NamedTuple):
+    """One run of the CLI: its exit code and what it wrote."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def invoke(args) -> CliResult:
+    """Run the CLI's ``main`` in this process on ``args``, each turned into a
+    ``str``, with stdout and stderr captured. A return is exit code 0, and
+    a ``SystemExit`` gives its code; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main([str(a) for a in args])
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def rational_grid(start, stop, step):

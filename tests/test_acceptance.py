@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
 from quasicone import (
     BACKWARD,
@@ -36,8 +35,7 @@ from quasicone import (
     verify_witness_for_element,
     verify_witness_for_set,
 )
-from quasicone.cli import main as cli_main
-from helpers import rational_grid, random_vec, seeded_instances
+from helpers import invoke, rational_grid, random_vec, seeded_instances
 
 H_GRID = rational_grid(0, 2, "1/4")
 H_LABELS = frozenset(label for label, _ in H_GRID)
@@ -257,10 +255,8 @@ def test_criterion_10_chebyshev_classification():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    runner = CliRunner()
     instance_path = tmp_path / "slack.json"
-    generate = runner.invoke(
-        cli_main,
+    generate = invoke(
         ["example", "example4", "--grid", "0:2:1/4", "--alpha", "1", "--beta", "5",
          "--out", str(instance_path)],
     )
@@ -270,7 +266,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         outputs = []
         for run_index in (1, 2):
             out = tmp_path / f"{command[0]}-{run_index}.json"
-            result = runner.invoke(cli_main, [*command, str(instance_path), "--out", str(out)])
+            result = invoke([*command, instance_path, "--out", out])
             assert result.exit_code == 0, result.output
             outputs.append(out.read_bytes())
         identical.append(outputs[0] == outputs[1])

@@ -2,24 +2,21 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import quasicone
 from quasicone import Query, UnknownLabel, verify_witness_for_set
-from quasicone.cli import main
 from quasicone.files import instance_json, load_instance_file, load_witness_file
-from helpers import random_table_instance
-
-runner = CliRunner()
+from helpers import invoke, random_table_instance
 
 
 def run(*args):
-    return runner.invoke(main, [str(a) for a in args])
+    return invoke(args)
 
 
 @pytest.fixture
@@ -336,6 +333,74 @@ class TestWitnessCommand:
         emit = run("witness", slack_file, "--mode", "emit", "--direction", "backward")
         assert emit.exit_code == 0
         assert json.loads(emit.stdout)["witness"]["direction"] == "backward"
+
+
+class TestCommandLine:
+    """The parser: values that start with '-', usage errors and help. Its
+    messages are asserted by the argument they name only, since the
+    wording of the standard library's parser changes between versions."""
+
+    def test_values_that_start_with_a_dash_are_values(self, tmp_path):
+        result = run("example", "example3", "--grid", "-2:2:1/2", "--beta", "1")
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert [p["label"] for p in doc["points"]][:2] == ["-2", "-3/2"]
+        assert doc["queries"][0]["q"] == "1"
+        assert result.stdout == run("example", "example3", "--grid=-2:2:1/2", "--beta=1").stdout
+        result = run("example", "example4", "--grid", "0:2:1", "--beta", "-1")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["queries"][0]["q"] == "-1"
+
+    def test_a_dash_value_reaches_the_command(self, slack_file):
+        result = run("approx", slack_file, "--query", "-1")
+        assert result.exit_code == 3, result.output
+        assert "error: query index -1 out of range (file has 1)\n" in result.stderr
+
+    @pytest.mark.parametrize("args,names", [
+        (["verify"], ["PATH"]),
+        (["verify", "{missing}"], ["PATH", "{missing}"]),
+        (["verify", "{dir}"], ["PATH", "{dir}"]),
+        (["approx", "{file}", "--out", "{dir}"], ["--out", "{dir}"]),
+        (["witness", "{file}", "--mode", "emit", "--witness-path", "{dir}"], ["--witness-path"]),
+        (["approx", "{file}", "--direction", "sideways"], ["--direction", "sideways"]),
+        (["witness", "{file}"], ["--mode"]),
+        (["verify", "{file}", "--seed", "x"], ["--seed", "'x'"]),
+        (["frobnicate", "{file}"], ["frobnicate"]),
+        ([], ["COMMAND"]),
+    ], ids=["no-path", "missing-path", "dir-path", "dir-out", "dir-witness-path",
+            "bad-choice", "no-mode", "bad-seed", "unknown-command", "no-command"])
+    def test_usage_errors_are_2_and_name_the_argument(self, slack_file, tmp_path, args, names):
+        where = {"file": slack_file, "missing": tmp_path / "missing.json", "dir": tmp_path}
+        result = run(*(a.format(**where) for a in args))
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        for name in names:
+            assert name.format(**where) in result.stderr, name
+
+    def test_abbreviations_are_not_options(self, slack_file):
+        result = run("approx", slack_file, "--dir", "backward")
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert re.search(r"--dir(?![\w-])", result.stderr)
+
+    OPTIONS = {
+        "verify": ["PATH", "--seed", "--out", "--pretty"],
+        "approx": ["PATH", "--query", "--direction", "--out", "--pretty"],
+        "witness": ["PATH", "--mode", "--query", "--witness-path", "--members", "--direction",
+                    "--out", "--pretty"],
+        "classify": ["PATH", "--direction", "--pseudo", "--no-pseudo", "--out", "--pretty"],
+        "example": ["example3", "example4", "--grid", "--alpha", "--beta", "--direction",
+                    "--out"],
+    }
+
+    @pytest.mark.parametrize("command", [None, *OPTIONS])
+    def test_help_lists_every_option(self, command):
+        result = run(command, "--help") if command else run("--help")
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        for name in ["--help", *(self.OPTIONS[command] if command else self.OPTIONS)]:
+            assert name in result.stdout, name
 
 
 class TestExitCodes:

@@ -1,8 +1,8 @@
 """The import contract: importing the package loads no submodule, each CLI
-command loads only the modules it runs and never ``dataclasses``, every
-public name resolves, on first read, to the object in its home module, and
-only the CLI program run as ``__main__`` turns the cyclic garbage
-collector off."""
+command loads only the modules it runs and never ``dataclasses`` or
+``click``, every public name resolves, on first read, to the object in its
+home module, and only the CLI program run as ``__main__`` turns the cyclic
+garbage collector off."""
 import importlib
 import inspect
 import os
@@ -12,11 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import quasicone
 from quasicone import approximation, metric
-from quasicone.cli import main
+from helpers import invoke
 
 SRC = Path(quasicone.__file__).parents[1]
 
@@ -56,12 +55,11 @@ def loaded_submodules(*args: str, cwd: Path) -> set[str]:
 def workdir(tmp_path_factory):
     """An Example 4 file with one query, and its canonical witness file."""
     path = tmp_path_factory.mktemp("imports")
-    runner = CliRunner()
     for args in (
         ["example", "example4", "--grid", "0:4:1", "--beta", "2", "--out", str(path / "ex.json")],
         ["witness", str(path / "ex.json"), "--mode", "emit", "--witness-path", str(path / "w.json")],
     ):
-        assert runner.invoke(main, args).exit_code == 0
+        assert invoke(args).exit_code == 0
     return path
 
 
@@ -96,6 +94,13 @@ def test_no_command_loads_dataclasses(workdir, args):
     assert "dataclasses" not in loaded_modules("-m", "quasicone.cli", *args, cwd=workdir)
 
 
+@pytest.mark.parametrize("args", [args for args, _ in COMMANDS.values()], ids=COMMANDS)
+def test_no_command_loads_click(workdir, args):
+    # the stdlib's argparse parses the command line; importing click would
+    # only cost start-up
+    assert "click" not in loaded_modules("-m", "quasicone.cli", *args, cwd=workdir)
+
+
 def test_the_cli_program_runs_without_the_collector(workdir):
     # runpy runs the module as __main__, as `python -m quasicone.cli` does,
     # and the exit hook reads the collector after the command has exited
@@ -115,13 +120,17 @@ def test_the_cli_program_runs_without_the_collector(workdir):
 def test_importing_the_cli_leaves_the_collector_on(workdir):
     out = run_python(
         "-c",
-        "import gc\n"
-        "from click.testing import CliRunner\n"
+        "import contextlib, gc, io\n"
         "from quasicone.cli import main\n"
         "print(gc.isenabled())\n"
-        "runner = CliRunner()\n"
         "for args in (['approx', 'ex.json'], ['approx', 'ex.json', '--query', '9']):\n"
-        "    print(runner.invoke(main, args).exit_code, gc.isenabled())\n",
+        "    code = 0\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            main(args)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, gc.isenabled())\n",
         cwd=workdir,
     ).stdout
     assert out == "True\n0 True\n3 True\n"

@@ -1,6 +1,7 @@
 """The two minimal-front routes agree with each other and with a direct
 definition-based oracle, on every cone and size we throw at them."""
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from quasicone import (
     minimal_front_naive,
 )
 
-from quasicone.approximation import _pairwise_scan
+from quasicone.approximation import _pairwise_scan, _sweep_front
 
 from helpers import pointed_cones, vectors
 
@@ -129,6 +130,55 @@ class TestPairwiseScan:
     def test_matches_brute_force(self, points):
         points += points[: len(points) // 3]  # exact duplicates, out of order
         assert _pairwise_scan(points) == brute_force_scan(points)
+
+
+def sweep_with_stairs(points):
+    """``_sweep_front(points)``, and its staircase as (y, z) pairs in order,
+    read from the sweep's frame as it returns."""
+    stairs = []
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is _sweep_front.__code__:
+            stairs.extend(zip(frame.f_locals["ys"], frame.f_locals["zs"]))
+
+    sys.setprofile(profile)
+    try:
+        keep = _sweep_front(points)
+    finally:
+        sys.setprofile(previous)
+    return keep, stairs
+
+
+class TestSweepStaircase:
+    """The sweep's staircase holds only the minimal (y, z) pairs of the
+    points' last two coordinates (padded with 0), with ``ys`` strictly
+    ascending and ``zs`` strictly descending: a kept point replaces every
+    stair it weakly dominates, an equal z included."""
+
+    def test_an_equal_z_stair_is_replaced(self):
+        # (0, 1, 5) leaves the stair (1, 5); (1, 0, 5) is kept and weakly
+        # dominates it, so the staircase is (0, 5) alone
+        keep, stairs = sweep_with_stairs([(0, 1, 5), (1, 0, 5)])
+        assert (keep, stairs) == ([0, 1], [(0, 5)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda dim: st.lists(
+                st.tuples(*[st.integers(min_value=0, max_value=4)] * dim), max_size=12
+            )
+        )
+    )
+    def test_the_staircase_is_the_minimal_pairs(self, points):
+        _, stairs = sweep_with_stairs(points)
+        pairs = {((0, 0) + p)[-2:] for p in points}
+        minimal = sorted(
+            (y, z) for y, z in pairs
+            if not any(b <= y and c <= z for b, c in pairs - {(y, z)})
+        )
+        assert stairs == minimal
+        assert all(z > next_z for (_, z), (_, next_z) in zip(stairs, stairs[1:]))
 
 
 class TestFallbacks:

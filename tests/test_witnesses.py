@@ -33,8 +33,9 @@ from quasicone import (
     verify_witness_for_set,
 )
 from quasicone import witnesses
+from quasicone.cones import kernel_vector
 from quasicone.metric import _best_indices
-from helpers import axiom_tables, rational_grid, seeded_instances
+from helpers import axiom_tables, pointed_cones, rational_grid, seeded_instances
 
 H_GRID = rational_grid(0, 2, "1/4")
 H_LABELS = frozenset(label for label, _ in H_GRID)
@@ -157,6 +158,82 @@ class TestElementVerification:
         table = WitnessTable("1", FORWARD, {"spook": Vec.of(1, 1), **table.f})
         with pytest.raises(UnknownLabel, match="'spook'"):
             verify_witness_for_element(instance, table, ["0", "1", "2"], "1")
+
+
+def face_members(cone):
+    """Nonzero members of the cone that are zero on at least one of its rows:
+    for every dimension - 1 rows, the members of the line they vanish on."""
+    found = []
+    for rows in itertools.combinations(cone.rows, cone.dimension - 1):
+        line = kernel_vector(rows, cone.dimension)
+        for u in () if line is None else (line, -line):
+            if cone.contains(u) and u not in found:
+                found.append(u)
+    return found
+
+
+@st.composite
+def boundary_gap_cases(draw):
+    """A table over a random solid pointed cone of dimension 2 or 3, with a
+    face member u of the cone and a map from candidates to multiples of u,
+    at least one of them nonzero. The row of q is d(q, h) = b and
+    d(q, x) = b + c_x u + k_x m for the cone's interior point m, so h is a
+    best candidate and f = d - c u keeps every shift in the cone. The
+    column of q equals its row, so both directions see the same distances."""
+    cone = draw(pointed_cones(max_rows=4).filter(lambda c: c.dimension >= 2 and c.is_solid))
+    u = draw(st.sampled_from(face_members(cone)))  # a solid cone has a face
+    member = cone.interior_point
+    space = OrderedSpace(cone.dimension, cone)
+    gaps = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(any))
+    gaps = {f"x{i}": c for i, c in enumerate(gaps)}
+    base = member * draw(st.integers(0, 2))
+    row = {"q": space.zero(), "h": base, "y": member}
+    for x, c in gaps.items():
+        row[x] = base + u * c + member * draw(st.integers(0, 1))
+    table = {(r, s): space.zero() if r == s else member for r in row for s in row}
+    for x, value in row.items():
+        table["q", x] = table[x, "q"] = value
+    return QcmInstance(space, list(row), table), u, gaps
+
+
+class TestBoundaryGaps:
+    """A witness f = d - g whose gap g is a nonzero member of the cone that
+    is zero on some cone row: it lies on the cone's boundary, so the gap
+    check must accept it, and must reject it pushed just outside."""
+
+    def test_example4_gap_on_the_orthant_boundary(self):
+        instance = build_example4(rational_grid(0, 4, 1), 1)
+        candidates = ["0", "1", "3", "4"]
+        f = dict(canonical_witness(instance, "2").f)
+        assert f["0"] == Vec.of(2, 2)
+        f["0"] = Vec.of(2, 1)
+        verdict = verify_witness_for_element(instance, WitnessTable("2", FORWARD, f), candidates, "1")
+        assert verdict.holds
+        f["0"] = Vec.of(Fraction(2001, 1000), 1)
+        verdict = verify_witness_for_element(instance, WitnessTable("2", FORWARD, f), candidates, "1")
+        assert verdict.failed_condition == GAP_NOT_IN_CONE
+        assert verdict.counterexample == ("0", Vec.of(Fraction(-1, 1000), 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(boundary_gap_cases())
+    def test_a_gap_on_a_face_holds_and_one_just_outside_fails(self, case):
+        instance, u, gaps = case
+        candidates = ["h", *gaps]
+        interior = instance.space.cone.interior_point
+        for direction in (FORWARD, BACKWARD):
+            d = {x: directed_distance(instance, "q", x, direction) for x in instance.points}
+            f = {x: d[x] - u * gaps.get(x, 0) for x in d}
+            witness = WitnessTable("q", direction, f)
+            assert verify_witness_for_element(instance, witness, candidates, "h").holds
+            # minus a small multiple of an interior point: negative on the
+            # rows that are zero on u, and the shift stays in the cone
+            x = next(x for x in sorted(gaps) if gaps[x])
+            f[x] = f[x] + interior * Fraction(1, 1000)
+            verdict = verify_witness_for_element(
+                instance, WitnessTable("q", direction, f), candidates, "h"
+            )
+            assert verdict.failed_condition == GAP_NOT_IN_CONE
+            assert verdict.counterexample == (x, d[x] - f[x])
 
 
 class TestSetVerification:
