@@ -56,9 +56,7 @@ _EXPORTS = {
         "LoadedInstance",
         "instance_json",
         "load_instance_file",
-        "load_witness_file",
         "parse_instance",
-        "parse_witness",
         "witness_json",
     ),
     "metric": (
@@ -84,6 +82,8 @@ _EXPORTS = {
         "WitnessVerdict",
         "canonical_witness",
         "default_witness_pool",
+        "load_witness_file",
+        "parse_witness",
         "search_counterexample_witness",
         "verify_witness_for_element",
         "verify_witness_for_set",

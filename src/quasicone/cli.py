@@ -22,28 +22,20 @@ what it runs in its body: only ``verify`` loads ``reports``, which holds
 the axiom checks, and only ``--pretty`` loads ``pretty``, which holds the
 human-readable renderers.
 
-Run as ``python -m quasicone.cli``, the program turns the cyclic garbage
-collector off before anything else is imported: every object a command
-builds lives until the process exits, so a collection pass can free
-nothing and only costs time (about a hundred passes while a 14,400-entry
-table is decoded and indexed). Importing the module leaves the collector
-alone, so tests that call ``main`` and the installed ``quasicone`` script
-run with it on.
+``main`` is the only code that knows it runs as a program. Called without
+``argv``, as ``python -m quasicone.cli`` and the installed ``quasicone``
+script both call it, it turns the cyclic garbage collector off: every
+object a command builds lives until the process exits, so a collection
+pass can free nothing and only costs time (about a hundred passes while a
+14,400-entry table is decoded and indexed). Importing the module, or
+calling ``main`` with a list of arguments as tests do, leaves the
+collector alone. ``main`` also maps every error a command raises to its
+exit code and prints the elapsed time.
 """
 from __future__ import annotations
 
-import gc
-
-# One command is one process, and its objects live until that process
-# exits, so a collection pass finds nothing to free. Only the program run
-# as __main__ does this: importing a module must not change the collector
-# for the whole process. Nothing turns it back on, since that would start
-# a pass at once over everything the command built.
-if __name__ == "__main__":
-    gc.disable()
-
 import argparse
-import functools
+import gc
 import json
 import os
 import sys
@@ -59,8 +51,6 @@ from .files import (
     chebyshev_report_json,
     instance_json,
     load_instance_file,
-    load_witness_file,
-    verdict_json,
     witness_json,
 )
 from .metric import DIRECTIONS, FORWARD, Query, build_example3, build_example4, verify_axioms
@@ -137,37 +127,10 @@ def _select_queries(
     return chosen
 
 
-def _exits(command):
-    """Run a command, mapping library errors to exit codes, and print the
-    elapsed time to stderr. ``main`` calls the wrapped command with the
-    parsed options as keywords."""
-
-    @functools.wraps(command)
-    def run(**options):
-        started = time.perf_counter()
-        try:
-            command(**options)
-        except _Failure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(exc.code)
-        except InstanceFileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(EXIT_PARSE)
-        except _SEMANTIC_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            sys.exit(EXIT_SEMANTIC)
-        finally:
-            elapsed = time.perf_counter() - started
-            print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-@_exits
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
     from .reports import check_cone_axioms
@@ -193,7 +156,6 @@ def verify(path, seed, out, pretty):
 # approx
 # ---------------------------------------------------------------------------
 
-@_exits
 def approx(path, selector, direction, out, pretty):
     """Compute best-approximation sets for the file's queries."""
     from .approximation import best_approximation_set
@@ -214,14 +176,13 @@ def approx(path, selector, direction, out, pretty):
 # witness
 # ---------------------------------------------------------------------------
 
-@_exits
 def witness(path, mode, selector, witness_path, members, direction, out, pretty):
     """Emit the canonical witness for a query, or check a witness file.
 
     In check mode without --members, the verdict holds when the table
     certifies at least one candidate; the certified set is reported.
     """
-    from .witnesses import _Conditions, canonical_witness
+    from .witnesses import _Conditions, canonical_witness, load_witness_file, verdict_json
 
     if members and mode == "emit":
         raise _Failure(EXIT_SEMANTIC, "--members applies to --mode check only")
@@ -246,20 +207,17 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
     table = load_witness_file(witness_path)
     # _Conditions checks the table against the instance and names the bad
     # field. The CLI adds the rule that q is the query's point (once q is a
-    # point, so the messages keep their order), the file's path, and the
-    # exit codes: a vector of the wrong length is a parse error (exit 2), as
-    # in a table; a label that is not a point, or a point with no entry, is
-    # a semantic error (exit 3), as in a query.
+    # point, so the messages keep their order) and the file's path; main
+    # gives the exit codes: a vector of the wrong length (DimensionMismatch)
+    # is a parse error (exit 2), as in a table; a label that is not a point,
+    # or a point with no entry, is a semantic error (exit 3), as in a query.
     instance, where = loaded.instance, Path(witness_path)
     if instance.has_point(table.q) and table.q != query.q:
         raise ValueError(f"{where}: witness.q: {table.q!r} is not the query point {query.q!r}")
     try:
         conditions = _Conditions(instance, table, candidates)
-    except DimensionMismatch as exc:
-        raise InstanceFileError(f"{where}: {exc}") from None
     except (UnknownLabel, ValueError) as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
+        raise type(exc)(f"{where}: {exc}") from None
     if members:
         verdict = conditions.set_verdict(members)
         certified = sorted(set(members)) if verdict.holds else []
@@ -289,7 +247,6 @@ def witness(path, mode, selector, witness_path, members, direction, out, pretty)
 # classify
 # ---------------------------------------------------------------------------
 
-@_exits
 def classify_cmd(path, direction, pseudo, out, pretty):
     """Classify the candidate set over the file's query family.
 
@@ -366,7 +323,6 @@ def _parse_grid(spec: str) -> list[Fraction]:
     return [start + k * step for k in range(count)]
 
 
-@_exits
 def example(name, grid, alpha, beta, direction, out):
     """Generate an instance file for one of the closed-form metrics."""
     from .cones import as_rational, format_rational
@@ -392,7 +348,11 @@ def example(name, grid, alpha, beta, direction, out):
     if name == "example3":
         instance = build_example3(points)
     else:
-        instance = build_example4(points, as_rational("1" if alpha is None else alpha))
+        try:
+            alpha_value = as_rational("1" if alpha is None else alpha)
+        except NotARational:
+            raise _Failure(EXIT_SEMANTIC, f"alpha must be rational, got {alpha!r}") from None
+        instance = build_example4(points, alpha_value)
     _report(instance_json(instance, queries), out)
 
 
@@ -512,10 +472,32 @@ def _joined(argv: list[str], valued: set[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> None:
     """Exact best-approximation toolkit for finite quasi-cone metric
     instances: run the command that ``argv`` (by default ``sys.argv[1:]``)
-    names. A command line the parser rejects exits 2."""
+    names. A command line the parser rejects exits 2; a command's error
+    prints ``error: MESSAGE`` and exits with its code, and every command
+    prints its elapsed time to stderr.
+
+    With ``argv`` None the command is the whole process, so the collector
+    goes off (the module docstring says why). Nothing turns it back on,
+    since that would start a pass at once over everything the command
+    built."""
+    if argv is None:
+        gc.disable()
+        argv = sys.argv[1:]
     parser, valued = _parser()
-    options = vars(parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv), valued)))
-    options.pop("run")(**options)
+    options = vars(parser.parse_args(_joined(list(argv), valued)))
+    run = options.pop("run")
+    started = time.perf_counter()
+    try:
+        run(**options)
+    except (_Failure, *_SEMANTIC_ERRORS) as exc:  # a file error is a ValueError too
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(
+            exc.code if isinstance(exc, _Failure)
+            else EXIT_PARSE if isinstance(exc, (InstanceFileError, DimensionMismatch))
+            else EXIT_SEMANTIC
+        )
+    finally:
+        print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Instance and witness files, and JSON rendering of results.
+"""Instance files, the JSON file reading that witness files share
+(``_load``), and JSON rendering of results.
 
 Instance files are JSON with exact rational literals ("p" or "p/q"
 strings; binary floats are rejected). One file describes one instance:
@@ -31,7 +32,6 @@ from .cones import (
 from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
 from .metric import (
     DIRECTION_METRIC,
-    DIRECTIONS,
     EXPLICIT_TABLE,
     FORWARD,
     Label,
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # result types, named in annotations only
     from .approximation import ApproximationResult
     from .chebyshev import ChebyshevReport
     from .reports import AxiomReport
-    from .witnesses import WitnessTable, WitnessVerdict
+    from .witnesses import WitnessTable
 
 
 class LoadedInstance(_Record):
@@ -409,35 +409,6 @@ def witness_json(witness: WitnessTable) -> dict:
     }
 
 
-def parse_witness(doc: dict) -> WitnessTable:
-    from .witnesses import WitnessTable
-
-    if not isinstance(doc, dict):
-        raise InstanceFileError("witness: expected a JSON object")
-    q = _require(doc, "q", "witness")
-    if not isinstance(q, str):
-        raise _fail("witness.q", "expected a label string")
-    direction = _require(doc, "direction", "witness")
-    if direction not in DIRECTIONS:
-        raise _fail("witness.direction", f"expected one of {DIRECTIONS}, got {direction!r}")
-    f_doc = _require(doc, "f", "witness")
-    if not isinstance(f_doc, list):
-        raise InstanceFileError("witness.f: expected an array of [label, vector] pairs")
-    table = {}
-    for i, entry in enumerate(f_doc):
-        spot = f"witness.f[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
-            raise _fail(spot, "expected [label, vector]")
-        if entry[0] in table:
-            raise _fail(spot, f"repeats the entry for {entry[0]!r}")
-        table[entry[0]] = _vec(entry[1], f"{spot}[1]")
-    return WitnessTable(q, direction, table)
-
-
-def load_witness_file(path: str | Path) -> WitnessTable:
-    return _load(path, parse_witness)
-
-
 # ---------------------------------------------------------------------------
 # Result rendering
 # ---------------------------------------------------------------------------
@@ -486,15 +457,6 @@ def approximation_json(query: Query, result: ApproximationResult) -> dict:
             "incomparable": result.stats.incomparable,
         },
     }
-
-
-def verdict_json(verdict: WitnessVerdict) -> dict:
-    doc: dict = {"holds": verdict.holds}
-    if not verdict.holds:
-        doc["failed_condition"] = verdict.failed_condition
-        point, value = verdict.counterexample
-        doc["counterexample"] = {"point": point, "value": vec_json(value)}
-    return doc
 
 
 def chebyshev_report_json(report: ChebyshevReport) -> dict:

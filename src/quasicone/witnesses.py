@@ -23,14 +23,22 @@ that f covers every point, then that the candidates are points. Each
 message names the field of a witness file, such as ``witness.f[3][1]``.
 It then projects f and the distances once through the cone rows, and
 decides every member from that one projection by integer comparisons.
+
+A witness file is the JSON form that ``files.witness_json`` writes: q, the
+direction, and f as ``[label, vector]`` pairs. ``load_witness_file`` reads
+it as ``files`` reads an instance file, and checks its shape only;
+``_Conditions`` checks it against an instance. ``verdict_json`` renders a
+verdict.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .cones import Vec, _Record, project
-from .errors import DimensionMismatch, UnknownLabel
+from .errors import DimensionMismatch, InstanceFileError, UnknownLabel
+from .files import _fail, _load, _require, _vec, vec_json
 from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, directed_distance
 
 ANCHOR_EQUALITY = "anchor-equality"
@@ -89,6 +97,42 @@ def canonical_witness(instance: QcmInstance, q: Label, direction: str = FORWARD)
         x: directed_distance(instance, q, x, direction) for x in instance.points
     }
     return WitnessTable(q, direction, table)
+
+
+def parse_witness(doc: dict) -> WitnessTable:
+    if not isinstance(doc, dict):
+        raise InstanceFileError("witness: expected a JSON object")
+    q = _require(doc, "q", "witness")
+    if not isinstance(q, str):
+        raise _fail("witness.q", "expected a label string")
+    direction = _require(doc, "direction", "witness")
+    if direction not in DIRECTIONS:
+        raise _fail("witness.direction", f"expected one of {DIRECTIONS}, got {direction!r}")
+    f_doc = _require(doc, "f", "witness")
+    if not isinstance(f_doc, list):
+        raise InstanceFileError("witness.f: expected an array of [label, vector] pairs")
+    table = {}
+    for i, entry in enumerate(f_doc):
+        spot = f"witness.f[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise _fail(spot, "expected [label, vector]")
+        if entry[0] in table:
+            raise _fail(spot, f"repeats the entry for {entry[0]!r}")
+        table[entry[0]] = _vec(entry[1], f"{spot}[1]")
+    return WitnessTable(q, direction, table)
+
+
+def load_witness_file(path: str | Path) -> WitnessTable:
+    return _load(path, parse_witness)
+
+
+def verdict_json(verdict: WitnessVerdict) -> dict:
+    doc: dict = {"holds": verdict.holds}
+    if not verdict.holds:
+        doc["failed_condition"] = verdict.failed_condition
+        point, value = verdict.counterexample
+        doc["counterexample"] = {"point": point, "value": vec_json(value)}
+    return doc
 
 
 def _leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import quasicone
-from quasicone import Query, UnknownLabel, verify_witness_for_set
-from quasicone.files import instance_json, load_instance_file, load_witness_file
+from quasicone import Query, UnknownLabel, load_witness_file, verify_witness_for_set
+from quasicone.files import instance_json, load_instance_file
 from helpers import invoke, random_table_instance
 
 
@@ -418,6 +418,35 @@ class TestExitCodes:
         assert (f"error: {path}: invalid JSON: a number exceeds the "
                 f"{sys.get_int_max_str_digits()}-digit limit\n") in result.stderr
 
+    def test_a_command_that_runs_ends_with_one_elapsed_line(
+        self, slack_file, broken_metric_file, tmp_path
+    ):
+        """Whatever a command's exit code, the last line of stderr is its
+        elapsed time; a command line the parser rejects, and --help, run
+        no command and print none."""
+        bad, tied = tmp_path / "bad.json", tmp_path / "tied.json"
+        bad.write_text("{not json")
+        run("example", "example4", "--grid", "0:2:1/4", "--beta", "-1", "--out", tied)
+        for args, code in (
+            (["approx", slack_file], 0),
+            (["verify", bad], 2),
+            (["approx", slack_file, "--query", "7"], 3),
+            (["verify", broken_metric_file], 4),
+            (["classify", tied], 5),
+        ):
+            result = run(*args)
+            assert result.exit_code == code, (args, result.output)
+            assert re.fullmatch(r"elapsed: \d+\.\d{3}s", result.stderr.splitlines()[-1]), args
+            assert result.stderr.count("elapsed:") == 1, args
+        for args, code in (
+            (["approx", slack_file, "--direction", "sideways"], 2),
+            (["approx", "--help"], 0),
+            (["--help"], 0),
+        ):
+            result = run(*args)
+            assert result.exit_code == code, (args, result.output)
+            assert "elapsed:" not in result.output, args
+
     @pytest.mark.parametrize("command", [
         ["approx", "{file}", "--out", "{target}"],
         ["witness", "{file}", "--mode", "emit", "--witness-path", "{target}"],
@@ -556,6 +585,12 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert "--alpha" in result.stderr
         assert result.stdout == ""
+        # a value that is not rational names the option, as --beta's does
+        for option in ("--alpha", "--beta"):
+            result = run("example", "example4", "--grid", "0:2:1", option, "1.5")
+            assert result.exit_code == 3, result.output
+            assert f"error: {option[2:]} must be rational, got '1.5'\n" in result.stderr
+            assert result.stdout == ""
         path = tmp_path / "default.json"
         assert run("example", "example4", "--grid", "0:2:1", "--out", path).exit_code == 0
         assert json.loads(path.read_text())["metric"] == {"kind": "example4", "alpha": "1"}

@@ -1,8 +1,10 @@
 """The import contract: importing the package loads no submodule, each CLI
 command loads only the modules it runs and never ``dataclasses`` or
 ``click``, every public name resolves, on first read, to the object in its
-home module, and only the CLI program run as ``__main__`` turns the cyclic
-garbage collector off."""
+home module, and only the CLI program turns the cyclic garbage collector
+off: ``main`` called without arguments, as ``python -m quasicone.cli`` and
+the installed ``quasicone`` script call it. Importing the CLI, or calling
+``main`` with a list of arguments, leaves the collector on."""
 import importlib
 import inspect
 import os
@@ -111,6 +113,23 @@ def test_the_cli_program_runs_without_the_collector(workdir):
         "atexit.register(lambda: print('at exit:', gc.isenabled()))\n"
         "sys.argv = ['quasicone', 'approx', 'ex.json']\n"
         "runpy.run_module('quasicone.cli', run_name='__main__', alter_sys=True)\n",
+        cwd=workdir,
+    ).stdout
+    assert out.startswith("before: True\n")
+    assert out.endswith("at exit: False\n")
+
+
+def test_the_installed_script_runs_without_the_collector(workdir):
+    # the [project.scripts] wrapper imports main and calls it with no
+    # arguments, so main reads sys.argv
+    out = run_python(
+        "-c",
+        "import atexit, gc, sys\n"
+        "sys.argv = ['quasicone', 'approx', 'ex.json']\n"
+        "from quasicone.cli import main\n"
+        "print('before:', gc.isenabled())\n"
+        "atexit.register(lambda: print('at exit:', gc.isenabled()))\n"
+        "sys.exit(main())\n",
         cwd=workdir,
     ).stdout
     assert out.startswith("before: True\n")
