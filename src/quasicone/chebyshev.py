@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .cones import Vec, _Record, exact_rank
 from .errors import EmbeddingRequired
-from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices
+from .metric import FORWARD, Label, QcmInstance, Query, _best_indices, _candidate_set, _direction
 
 if TYPE_CHECKING:
     from .witnesses import WitnessTable
@@ -28,7 +28,9 @@ FINITE_SCALE_SEMANTICS = (
 
 
 class QueryFamily(_Record):
-    """Query points, one shared candidate set, one direction."""
+    """Query points, one shared candidate set, one direction. The queries
+    are checked first, then the candidates and the direction as a
+    ``Query`` checks them (``metric._candidate_set``, ``metric._direction``)."""
 
     __slots__ = ("queries", "candidates", "direction")
     _defaults = {"direction": FORWARD}
@@ -37,17 +39,13 @@ class QueryFamily(_Record):
     direction: str
 
     def __post_init__(self):
-        for name, labels in (("queries", self.queries), ("candidates", self.candidates)):
-            if isinstance(labels, str):  # a string would be split into characters
-                raise ValueError(f"{name} must be a collection of labels, not {labels!r}")
+        if isinstance(self.queries, str):  # a string would be split into characters
+            raise ValueError(f"queries must be a collection of labels, not {self.queries!r}")
         object.__setattr__(self, "queries", tuple(self.queries))
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
         if not self.queries:
             raise ValueError("query family must contain at least one query point")
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        object.__setattr__(self, "candidates", _candidate_set(self.candidates))
+        _direction(self.direction)
 
 
 class CensusEntry(_Record):

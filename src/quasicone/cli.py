@@ -43,6 +43,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from .cones import PLAIN_LITERAL
 from .errors import DimensionMismatch, InstanceFileError, NotARational, UnknownLabel
 from .files import (
     LoadedInstance,
@@ -97,18 +98,18 @@ def _select_queries(
     loaded: LoadedInstance, selector: str, direction: str | None, all_keyword: bool = False
 ) -> list[Query]:
     """The file queries that ``selector`` names; ``all`` names every query
-    only where ``all_keyword`` is set (``approx``), and is a label elsewhere."""
+    only where ``all_keyword`` is set (``approx``), and is a label elsewhere.
+    An index is written in the package's integer grammar, ASCII digits with
+    an optional sign (``cones.PLAIN_LITERAL`` without a ``/``), and one in
+    range selects that query. Any other selector, such as ``٣``, ``1_0`` or
+    `` 1``, which ``int()`` would read as a number, is a target label."""
     queries = loaded.queries
     if not queries:
         raise _Failure(
             EXIT_SEMANTIC,
             "instance file has no queries; add a 'queries' section",
         )
-    # an integer in range is an index; anything else is a target label
-    try:
-        index = int(selector)
-    except ValueError:
-        index = None
+    index = int(selector) if PLAIN_LITERAL.fullmatch(selector) and "/" not in selector else None
     if all_keyword and selector == "all":
         chosen = list(queries)
     elif index is not None and 0 <= index < len(queries):
@@ -378,8 +379,10 @@ def _output_file(value: str) -> str:
 
 
 def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
-    """The parser, and the options that take a value."""
+    """The parser, and the options that take a value, recorded from the
+    action that each ``add`` call returns."""
     shared = {"add_help": False, "allow_abbrev": False}
+    valued = set()
     parser = argparse.ArgumentParser(
         prog="python -m quasicone.cli" if __name__ == "__main__" else "quasicone",
         description="Exact best-approximation toolkit for finite quasi-cone metric instances.",
@@ -392,13 +395,19 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
         doc = run.__doc__ or ""
         sub = commands.add_parser(name, help=doc.partition("\n")[0], description=doc, **shared)
         sub.set_defaults(run=run)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
+
+        def add(*names, **options):
+            action = sub.add_argument(*names, **options)
+            if action.nargs != 0:
+                valued.update(action.option_strings)
+
+        add("--help", action="help", help="Show this message and exit.")
         if report:
-            sub.add_argument("path", metavar="PATH", type=_input_file)
-            sub.add_argument("--out", type=_output_file, metavar="FILE",
-                             help="Write the report to this file instead of stdout.")
-            sub.add_argument("--pretty", action="store_true", help="Human-readable report.")
-        return sub.add_argument
+            add("path", metavar="PATH", type=_input_file)
+            add("--out", type=_output_file, metavar="FILE",
+                help="Write the report to this file instead of stdout.")
+            add("--pretty", action="store_true", help="Human-readable report.")
+        return add
 
     add = command("verify", verify)
     add("--seed", type=int, default=0,
@@ -407,9 +416,9 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
 
     add = command("approx", approx)
     add("--query", dest="selector", metavar="QUERY", default="all",
-        help="Which file query to run: 'all', an index, or a target label. An integer in "
-             "range is an index; any other value selects the queries with that target "
-             "label. [default: %(default)s]")
+        help="Which file query to run: 'all', an index, or a target label. ASCII digits "
+             "with an optional sign, in range, are an index; any other value selects the "
+             "queries with that target label. [default: %(default)s]")
     add("--direction", choices=DIRECTIONS,
         help="Override the direction of the selected queries.")
 
@@ -417,8 +426,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
     add("--mode", choices=("emit", "check"), required=True)
     add("--query", dest="selector", metavar="QUERY", default="0",
         help="File query supplying q and the candidate set: an index, or a target label. "
-             "An integer in range is an index; any other value selects the first query "
-             "with that target label. [default: %(default)s]")
+             "ASCII digits with an optional sign, in range, are an index; any other value "
+             "selects the first query with that target label. [default: %(default)s]")
     add("--witness-path", type=_output_file, metavar="FILE",
         help="Where to write (emit) or read (check) the witness file.")
     add("--members", action="append", default=[], metavar="LABEL",
@@ -443,11 +452,6 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
     add("--direction", choices=DIRECTIONS,
         help="Direction of the --beta query; needs --beta, default forward.")
     add("--out", type=_output_file, metavar="FILE")
-
-    valued = {
-        name for sub in commands.choices.values() for action in sub._actions
-        if action.nargs != 0 for name in action.option_strings
-    }
     return parser, valued
 
 

@@ -71,13 +71,18 @@ def as_rational(value: RationalLike) -> Fraction:
         if match is None:
             raise NotARational(f"not a rational literal 'p' or 'p/q': {value!r}")
         numerator, denominator = match.groups()
-        digits = max(len(numerator.lstrip("+-")), len(denominator or ""))
-        if digits > _MAX_DIGITS:
-            raise NotARational(
-                f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
-            )
+        _cap_digits(max(len(numerator.lstrip("+-")), len(denominator or "")))
         raise NotARational(f"zero denominator: {value!r}")
     raise NotARational(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _cap_digits(digits: int) -> None:
+    """Reject a run of more than ``_MAX_DIGITS`` digits, in a literal or
+    (for ``files``) in a JSON number: the one place the cap is enforced."""
+    if digits > _MAX_DIGITS:
+        raise NotARational(
+            f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
+        )
 
 
 def plain_value(literal: str) -> Fraction:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .cones import (
-    _MAX_DIGITS, PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, _Record, as_rational,
+    PLAIN_LITERAL, OrderedSpace, PolyhedralCone, Vec, _cap_digits, _Record, as_rational,
     format_rational, plain_value,
 )
 from .errors import DuplicateLabel, InstanceFileError, NotARational, UnknownLabel
@@ -75,13 +75,11 @@ def _digits(n: int) -> int:
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise _fail(where, f"{value!r} is a binary float; write an exact literal like \"3/4\"")
-    # a JSON number gets the digit cap of a string literal: with the
-    # int-string limit off, json decodes an int of any length
-    if isinstance(value, int) and value and (digits := _digits(abs(value))) > _MAX_DIGITS:
-        raise _fail(
-            where, f"rational literal has a run of {digits} digits; at most {_MAX_DIGITS} are allowed"
-        )
     try:
+        # a JSON number gets the digit cap of a string literal: with the
+        # int-string limit off, json decodes an int of any length
+        if isinstance(value, int) and value:
+            _cap_digits(_digits(abs(value)))
         return as_rational(value)
     except NotARational as exc:
         raise _fail(where, str(exc)) from None
@@ -416,8 +414,6 @@ def witness_json(witness: WitnessTable) -> dict:
 def _jsonify(value):
     if isinstance(value, Vec):
         return vec_json(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, (tuple, list)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):

@@ -236,8 +236,29 @@ class QcmInstance:
         )
 
 
+def _direction(direction: str) -> str:
+    """``direction`` if it is one of ``DIRECTIONS``; the records that hold
+    a direction and ``directed_distance`` check it here."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return direction
+
+
+def _candidate_set(candidates: Iterable[Label]) -> frozenset[Label]:
+    """``candidates`` as a nonempty frozenset; ``Query`` and
+    ``chebyshev.QueryFamily`` check their candidate sets here."""
+    if isinstance(candidates, str):  # a string would be split into characters
+        raise ValueError(f"candidates must be a collection of labels, not {candidates!r}")
+    candidates = frozenset(candidates)
+    if not candidates:
+        raise ValueError("candidate set must be nonempty")
+    return candidates
+
+
 class Query(_Record):
-    """A target point, a nonempty candidate set, and a direction."""
+    """A target point, a nonempty candidate set, and a direction. The
+    candidates are checked and frozen first (``_candidate_set``), then the
+    direction (``_direction``)."""
 
     __slots__ = ("q", "candidates", "direction")
     _defaults = {"direction": FORWARD}
@@ -246,26 +267,18 @@ class Query(_Record):
     direction: str
 
     def __post_init__(self):
-        if isinstance(self.candidates, str):  # a string would be split into characters
-            raise ValueError(f"candidates must be a collection of labels, not {self.candidates!r}")
-        object.__setattr__(self, "candidates", frozenset(self.candidates))
-        if not self.candidates:
-            raise ValueError("candidate set must be nonempty")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(
-                f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
-            )
+        object.__setattr__(self, "candidates", _candidate_set(self.candidates))
+        _direction(self.direction)
 
 
 def directed_distance(
     instance: QcmInstance, q: Label, h: Label, direction: str
 ) -> Vec:
-    """d(q, h) for forward queries, d(h, q) for backward ones."""
-    if direction == FORWARD:
+    """d(q, h) for forward queries, d(h, q) for backward ones; any other
+    direction raises ``_direction``'s ``ValueError``."""
+    if _direction(direction) == FORWARD:
         return instance.distance(q, h)
-    if direction == BACKWARD:
-        return instance.distance(h, q)
-    raise ValueError(f"unknown direction {direction!r}")
+    return instance.distance(h, q)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +396,20 @@ def alpha_distance(r: Fraction, s: Fraction, alpha: Fraction) -> Vec:
     return Vec._trusted((alpha, _ONE))
 
 
+def _generated(
+    kind: str, points: Sequence[tuple[Label, RationalLike]], alpha: Fraction | None = None
+) -> QcmInstance:
+    """The instance of a closed-form generator over Q^2 with the orthant
+    cone, at the points' coordinates; both builders end here."""
+    coordinates = tuple(sorted((label, as_rational(c)) for label, c in points))
+    provenance = Provenance(kind, alpha=alpha, coordinates=coordinates)
+    return QcmInstance._on_read(OrderedSpace.orthant(2), [label for label, _ in points], provenance)
+
+
 def build_example3(points: Sequence[tuple[Label, RationalLike]]) -> QcmInstance:
     """Instance of the direction metric over Q^2 with the orthant cone.
     A repeated label or coordinate raises ``DuplicateLabel``."""
-    coordinates = tuple(sorted((label, as_rational(c)) for label, c in points))
-    provenance = Provenance(DIRECTION_METRIC, coordinates=coordinates)
-    return QcmInstance._on_read(OrderedSpace.orthant(2), [label for label, _ in points], provenance)
+    return _generated(DIRECTION_METRIC, points)
 
 
 def build_example4(
@@ -400,9 +421,7 @@ def build_example4(
     alpha = as_rational(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {format_rational(alpha)}")
-    coordinates = tuple(sorted((label, as_rational(c)) for label, c in points))
-    provenance = Provenance(ALPHA_METRIC, alpha=alpha, coordinates=coordinates)
-    return QcmInstance._on_read(OrderedSpace.orthant(2), [label for label, _ in points], provenance)
+    return _generated(ALPHA_METRIC, points, alpha)
 
 
 # ---------------------------------------------------------------------------

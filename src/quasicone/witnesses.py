@@ -39,7 +39,9 @@ from typing import Iterable, Mapping
 from .cones import Vec, _Record, project
 from .errors import DimensionMismatch, InstanceFileError, UnknownLabel
 from .files import _fail, _load, _require, _vec, vec_json
-from .metric import DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, directed_distance
+from .metric import (
+    DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, _direction, directed_distance,
+)
 
 ANCHOR_EQUALITY = "anchor-equality"
 SHIFT_NOT_IN_CONE = "f-shift-not-in-cone"
@@ -47,7 +49,10 @@ GAP_NOT_IN_CONE = "d-gap-not-in-cone"
 
 
 class WitnessTable(_Record):
-    """A candidate certificate: target point, direction, and the table f."""
+    """A candidate certificate: target point, direction, and the table f.
+    The direction is checked as a ``Query`` checks it
+    (``metric._direction``); q and f are checked against an instance only
+    when the table is (``_Conditions``)."""
 
     __slots__ = ("q", "direction", "f")
     q: Label
@@ -55,8 +60,7 @@ class WitnessTable(_Record):
     f: Mapping[Label, Vec]
 
     def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        _direction(self.direction)
         object.__setattr__(self, "f", dict(self.f))
 
     def value(self, label: Label) -> Vec:

@@ -86,6 +86,7 @@ class TestQueryFamily:
             ((), H_LABELS, FORWARD, "at least one query point"),
             (("0",), (), FORWARD, "candidate set must be nonempty"),
             (("0",), H_LABELS, "sideways", "direction must be one of"),
+            ((), "bc", FORWARD, "at least one query point"),
         ],
     )
     def test_rejects(self, queries, candidates, direction, message):

@@ -351,6 +351,13 @@ class TestCommandLine:
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["queries"][0]["q"] == "-1"
 
+    def test_a_path_after_double_dash_may_start_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("example", "example3", "--grid", "0:1:1", "--out", "-t.json").exit_code == 0
+        result = run("verify", "--", "-t.json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["file"] == "-t.json"
+
     def test_a_dash_value_reaches_the_command(self, slack_file):
         result = run("approx", slack_file, "--query", "-1")
         assert result.exit_code == 3, result.output
@@ -495,6 +502,10 @@ class TestExitCodes:
     def test_missing_query_selector_is_3(self, slack_file):
         assert run("approx", slack_file, "--query", "7").exit_code == 3
         assert run("approx", slack_file, "--query", "zzz").exit_code == 3
+        # past the digit cap of an integer literal, a selector is a label
+        result = run("approx", slack_file, "--query", "9" * 5000)
+        assert result.exit_code == 3, result.output
+        assert "error: no query with target point '999" in result.stderr
 
     def test_integer_target_label_selects_query(self, slack_file):
         # the file's one query targets the point labelled 5
@@ -507,6 +518,29 @@ class TestExitCodes:
         assert json.loads(emit.stdout)["witness"]["q"] == "5"
         assert "query index 7 out of range (file has 1)" in run(
             "approx", slack_file, "--query", "7").stderr
+
+    @pytest.mark.parametrize("selector,target", [
+        ("٣", "٣"), ("0_1", "0_1"), (" 1", " 1"), ("+1", "b"), ("3", "c"),
+    ], ids=["arabic-indic-digit", "underscore", "space", "plus-sign", "ascii"])
+    def test_only_ascii_digits_are_an_index(self, tmp_path, selector, target):
+        # int() reads "٣" as 3, "0_1" and " 1" as 1; the package's integer
+        # grammar reads them as labels
+        labels = ["a", "b", "٣", "c", "d", "0_1", " 1"]
+        doc = {
+            "space": {"dimension": 1, "rows": [["1"]]},
+            "points": labels,
+            "metric": {"kind": "table",
+                       "entries": [[r, s, ["0" if r == s else "1"]] for r in labels for s in labels]},
+            "queries": [{"q": label} for label in labels],
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        result = run("approx", path, "--query", selector)
+        assert result.exit_code == 0, result.output
+        assert [r["q"] for r in json.loads(result.stdout)["results"]] == [target]
+        emit = run("witness", path, "--mode", "emit", "--query", selector)
+        assert emit.exit_code == 0, emit.output
+        assert json.loads(emit.stdout)["witness"]["q"] == target
 
     def test_index_in_range_wins_over_label(self, slack_file):
         doc = json.loads(slack_file.read_text())
@@ -564,6 +598,16 @@ class TestExitCodes:
         out = json.loads(result.stdout)
         assert out["direction"] == "forward"
         assert out["queries"] == ["5", "0"]
+
+    def test_classify_mixed_candidate_sets_is_3(self, slack_file):
+        doc = json.loads(slack_file.read_text())
+        doc["queries"].append({"q": "0", "candidates": ["1", "2"]})
+        slack_file.write_text(json.dumps(doc))
+        result = run("classify", slack_file)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert ("error: classification needs a single shared candidate set across queries\n"
+                in result.stderr)
 
     def test_axiom_failure_is_4(self, broken_metric_file):
         result = run("verify", broken_metric_file)

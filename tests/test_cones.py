@@ -206,6 +206,10 @@ class TestConeConstruction:
         with pytest.raises(ValueError):
             PolyhedralCone(2, ())
 
+    def test_nonpositive_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
+            PolyhedralCone(0, (Vec.of(1),))
+
     def test_supplied_interior_point_checked(self):
         with pytest.raises(ValueError):
             PolyhedralCone(2, (Vec.of(1, 0), Vec.of(0, 1)), Vec.of(1, 0))

@@ -13,12 +13,15 @@ from quasicone import (
     Provenance,
     QcmInstance,
     Query,
+    QueryFamily,
     UnknownLabel,
     Vec,
+    WitnessTable,
     best_approximation_set,
     build_example3,
     build_example4,
     canonical_witness,
+    directed_distance,
     exact_rank,
     transpose,
     verify_axioms,
@@ -67,6 +70,10 @@ class TestAlphaMetric:
 
 
 class TestInstanceConstruction:
+    def test_ground_set_must_be_nonempty(self):
+        with pytest.raises(ValueError, match=r"^ground set must be nonempty$"):
+            QcmInstance(OrderedSpace.orthant(2), [], {})
+
     def test_table_must_be_total(self):
         space = OrderedSpace.orthant(2)
         with pytest.raises(ValueError, match="not total"):
@@ -148,6 +155,23 @@ class TestInstanceConstruction:
         table[pair] = table[pair] + Vec.of(0, "1/7")
         with pytest.raises(ValueError, match=rf"d\({pair[0]!r}, {pair[1]!r}\) = .* generator"):
             QcmInstance(inst.space, inst.points, table, inst.provenance)
+
+
+class TestDirectionChecks:
+    """Every record and function that takes a direction checks it in one
+    place, so each gives one message."""
+
+    @pytest.mark.parametrize("build", [
+        lambda direction: Query("0", {"1"}, direction),
+        lambda direction: QueryFamily(("0",), {"1"}, direction),
+        lambda direction: WitnessTable("0", direction, {}),
+        lambda direction: directed_distance(build_example3([("0", 0), ("1", 1)]), "0", "1", direction),
+    ], ids=["Query", "QueryFamily", "WitnessTable", "directed_distance"])
+    def test_one_message(self, build):
+        with pytest.raises(
+            ValueError, match=r"^direction must be one of \('forward', 'backward'\), got 'sideways'$"
+        ):
+            build("sideways")
 
 
 class TestEntriesReadOnDemand:

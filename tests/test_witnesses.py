@@ -137,6 +137,8 @@ class TestElementVerification:
         partial = WitnessTable("0", FORWARD, {"0": Vec.zero(2)})
         with pytest.raises(ValueError, match=r"^witness\.f: no entry for point '1/4'$"):
             verify_witness_for_element(instance, partial, {"0", "1"}, "0")
+        with pytest.raises(ValueError, match=r"^witness table has no value for point '1/4'$"):
+            partial.value("1/4")
 
     def test_wrong_dimension_outside_the_candidates(self):
         # "5" is a point of the instance but not a candidate

@@ -7,15 +7,17 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Twenty-three more invocations run once:
+on each file: 128 reports. Twenty-four more invocations run once:
 ``example`` itself, ``classify`` on a file without queries, the CLI's own
-exit 2 and 3 checks, ``verify``, ``approx`` and ``witness --mode emit``
+exit 2 and 3 checks (among them a ``--query`` selector that ``int()``
+would read as a number but the package's integer grammar reads as a
+label), ``verify``, ``approx`` and ``witness --mode emit``
 on two copies of the seed 1 ``table30`` file: one whose table literals are
 all respelled (``respell``) and one whose last entry's first literal alone
 is a JSON number (``mix``), so that the parser's writing back of literals
 that are not plain is compared too, and ``witness --mode check`` on five
 edited copies of one emitted witness file (``edit_witness``), one for each
-check of a table against its instance: 151 reports. For each invocation it
+check of a table against its instance: 152 reports. For each invocation it
 keeps stdout, the exit code and stderr without its ``elapsed:`` line.
 Commands run in OUT_DIR with relative paths, so the reports of two trees
 differ only where the program's answers or messages do:
@@ -67,7 +69,7 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
 def once_invocations(
     queried: str, free: str, broken: str, respelled: str, mixed: str, witness: str
 ) -> dict[str, list[str]]:
-    """The 23 invocations run once, in order, by report name: the second
+    """The 24 invocations run once, in order, by report name: the second
     and third write ``queried`` and ``free``, which later ones read,
     ``broken`` holds ``{not json``, ``respell`` writes ``respelled``,
     ``mix`` writes ``mixed``, ``witness-emit-file`` writes ``witness`` and
@@ -89,6 +91,7 @@ def once_invocations(
         "witness-emit-members": ["witness", queried, "--mode", "emit", "--members", "1"],
         "witness-check-no-path": ["witness", queried, "--mode", "check"],
         "approx-query-99": ["approx", queried, "--query", "99"],
+        "approx-query-1_0": ["approx", queried, "--query", "1_0"],
         "example3-alpha": ["example", "example3", "--grid", "0:1:1", "--alpha", "2"],
         "example4-zero-step": ["example", "example4", "--grid", "0:1:0"],
         "verify-not-json": ["verify", broken],
