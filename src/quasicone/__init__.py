@@ -71,9 +71,8 @@ _EXPORTS = {
         "directed_distance",
         "direction_distance",
         "transpose",
-        "verify_axioms",
     ),
-    "reports": ("AxiomCheck", "AxiomReport", "check_cone_axioms"),
+    "reports": ("AxiomCheck", "AxiomReport", "check_cone_axioms", "verify_axioms"),
     "witnesses": (
         "ANCHOR_EQUALITY",
         "GAP_NOT_IN_CONE",

@@ -25,9 +25,8 @@ from typing import Iterable
 
 from .cones import OrderedSpace, Vec, _Record, project
 from .errors import DimensionMismatch
-from .metric import (  # Query and its directions are re-exported from here
+from .metric import (
     BACKWARD,
-    DIRECTIONS,
     FORWARD,
     Label,
     QcmInstance,

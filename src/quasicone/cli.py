@@ -54,7 +54,7 @@ from .files import (
     load_instance_file,
     witness_json,
 )
-from .metric import DIRECTIONS, FORWARD, Query, build_example3, build_example4, verify_axioms
+from .metric import DIRECTIONS, FORWARD, Query, build_example3, build_example4
 
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
@@ -134,7 +134,7 @@ def _select_queries(
 
 def verify(path, seed, out, pretty):
     """Check the cone axioms and the metric axioms exhaustively."""
-    from .reports import check_cone_axioms
+    from .reports import check_cone_axioms, verify_axioms
 
     instance = load_instance_file(path).instance
     cone_report = check_cone_axioms(instance.space.cone)

@@ -39,9 +39,7 @@ from typing import Iterable, Mapping
 from .cones import Vec, _Record, project
 from .errors import DimensionMismatch, InstanceFileError, UnknownLabel
 from .files import _fail, _load, _require, _vec, vec_json
-from .metric import (
-    DIRECTIONS, FORWARD, Label, QcmInstance, Query, _best_indices, _direction, directed_distance,
-)
+from .metric import FORWARD, Label, QcmInstance, Query, _best_indices, _direction, directed_distance
 
 ANCHOR_EQUALITY = "anchor-equality"
 SHIFT_NOT_IN_CONE = "f-shift-not-in-cone"
@@ -110,8 +108,10 @@ def parse_witness(doc: dict) -> WitnessTable:
     if not isinstance(q, str):
         raise _fail("witness.q", "expected a label string")
     direction = _require(doc, "direction", "witness")
-    if direction not in DIRECTIONS:
-        raise _fail("witness.direction", f"expected one of {DIRECTIONS}, got {direction!r}")
+    try:
+        _direction(direction)
+    except ValueError as exc:
+        raise _fail("witness.direction", str(exc)) from None
     f_doc = _require(doc, "f", "witness")
     if not isinstance(f_doc, list):
         raise InstanceFileError("witness.f: expected an array of [label, vector] pairs")

@@ -309,8 +309,8 @@ class TestWitnessCommand:
         wpath.write_text(json.dumps(doc))
         result = run("witness", path, "--mode", "check", "--witness-path", wpath)
         assert result.exit_code == 2
-        assert (f"error: {wpath}: witness.direction: expected one of ('forward', 'backward'), "
-                "got 'sideways'") in result.stderr
+        assert (f"error: {wpath}: witness.direction: direction must be one of "
+                "('forward', 'backward'), got 'sideways'") in result.stderr
 
     def test_check_requires_witness_path(self, slack_file):
         assert run("witness", slack_file, "--mode", "check").exit_code == 3

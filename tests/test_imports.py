@@ -1,10 +1,13 @@
 """The import contract: importing the package loads no submodule, each CLI
 command loads only the modules it runs and never ``dataclasses`` or
 ``click``, every public name resolves, on first read, to the object in its
-home module, and only the CLI program turns the cyclic garbage collector
-off: ``main`` called without arguments, as ``python -m quasicone.cli`` and
-the installed ``quasicone`` script call it. Importing the CLI, or calling
-``main`` with a list of arguments, leaves the collector on."""
+home module, no module that every command loads imports one that only
+some commands use, and only the CLI program turns the cyclic garbage
+collector off: ``main`` called without arguments, as ``python -m
+quasicone.cli`` and the installed ``quasicone`` script call it. Importing
+the CLI, or calling ``main`` with a list of arguments, leaves the
+collector on."""
+import ast
 import importlib
 import inspect
 import os
@@ -23,6 +26,8 @@ SRC = Path(quasicone.__file__).parents[1]
 
 # what every command loads to read an instance file
 SHARED = {"cones", "errors", "files", "metric"}
+# the modules that only some commands load
+COMMAND_ONLY = {"approximation", "chebyshev", "cli", "pretty", "reports", "witnesses"}
 
 
 def run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -177,5 +182,41 @@ def test_public_names_resolve_to_their_home_objects():
 
 
 def test_query_names_are_the_same_objects_under_approximation():
-    for name in ("Query", "FORWARD", "BACKWARD", "DIRECTIONS", "directed_distance"):
+    # approximation imports the query names it uses from metric, and no
+    # more: DIRECTIONS is read from metric only
+    for name in ("Query", "FORWARD", "BACKWARD", "directed_distance"):
         assert getattr(approximation, name) is getattr(metric, name), name
+    assert not hasattr(approximation, "DIRECTIONS")
+
+
+def _runtime_imports(nodes):
+    """The import statements among ``nodes`` and everything under them that
+    run when the module runs: every one outside the body of an
+    ``if TYPE_CHECKING:`` block, function bodies included."""
+    for node in nodes:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _runtime_imports(node.orelse)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        else:
+            yield from _runtime_imports(ast.iter_child_nodes(node))
+
+
+def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The quasicone submodules that an import statement in the package names."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    else:
+        module = ".".join(filter(None, ["quasicone" if node.level else "", node.module]))
+        dotted = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    return {name.split(".")[1] for name in dotted if name.startswith("quasicone.")}
+
+
+@pytest.mark.parametrize("module", sorted(SHARED))
+def test_shared_modules_import_no_command_module(module):
+    # a module that every command loads loads no module that only some
+    # commands use, not even inside a function; type names may be imported
+    # under TYPE_CHECKING, which never runs
+    tree = ast.parse((SRC / "quasicone" / f"{module}.py").read_text(encoding="utf-8"))
+    for node in _runtime_imports(tree.body):
+        assert not _package_modules(node) & COMMAND_ONLY, f"{module}.py:{node.lineno}"

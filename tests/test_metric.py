@@ -342,7 +342,7 @@ def explicit_instance(entries, dim=2):
     return QcmInstance(space, labels, table)
 
 
-# 3 * WIDE + 1 has more bits than reports._MAX_LANE_BITS, so the scan runs
+# 3 * WIDE + 1 has more bits than reports._MAX_LANE_BITS, so every pair is scanned
 WIDE = 2**130
 
 
@@ -389,17 +389,17 @@ class TestVerifyAxioms:
         )
         assert reports._first_triangle_failure(images, n) == first
 
-    @pytest.mark.parametrize(
-        "scale,unused", [(1, "_first_scanned_pair"), (WIDE, "_first_packed_pair")]
-    )
-    def test_lane_width_selects_the_pass(self, monkeypatch, scale, unused):
-        def fail(*args):
-            raise AssertionError(f"{unused} ran")
-
-        monkeypatch.setattr(reports, unused, fail)
+    @pytest.mark.parametrize("scale,packed", [(1, True), (WIDE, False)], ids=["narrow", "wide"])
+    def test_lane_width_selects_the_pass(self, monkeypatch, scale, packed):
+        calls = []
+        packed_pairs = reports._packed_pairs
+        monkeypatch.setattr(
+            reports, "_packed_pairs", lambda *args: calls.append(args) or packed_pairs(*args)
+        )
         image = [scale * (i != j) for i in range(3) for j in range(3)]
         image[2] = 3 * scale  # d(0, 2) > d(0, 1) + d(1, 2)
         assert reports._first_triangle_failure([image], 3) == (0, 1, 2)
+        assert bool(calls) is packed
 
     def test_direction_metric_exhaustive(self):
         inst = build_example3(rational_grid(-2, 2, "1/2"))
