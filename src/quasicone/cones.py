@@ -5,15 +5,16 @@ intersections of closed halfspaces ``{x : a . x >= 0}``, and the induced
 order predicates compare without any tolerance: repeated evaluation is
 bit-identical, and antisymmetry of the order is a theorem (for pointed
 cones), not a numerical accident. Whether a cone is solid and whether it
-is {0} are decided exactly too, by a phase-1 simplex over ``Fraction``.
+is {0} are decided exactly too, by a phase-1 simplex on integer rows.
 """
 from __future__ import annotations
 
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Iterable, Sequence, Union
 
@@ -193,7 +194,12 @@ class Vec(_Record):
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Iterable[RationalLike]):
-        object.__setattr__(self, "coords", tuple(as_rational(c) for c in coords))
+        coords = tuple(coords)
+        # a tuple of exact Fractions is kept as given; anything else,
+        # Fraction subclasses included, is coerced one coordinate at a time
+        if {*map(type, coords)} != {Fraction}:
+            coords = tuple(map(as_rational, coords))
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def _trusted(cls, coords: tuple[Fraction, ...]) -> "Vec":
@@ -269,7 +275,7 @@ def _as_vec(value, dimension: int | None = None) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (Gauss-Jordan and phase-1 simplex over Fraction)
+# Exact linear algebra (Gauss-Jordan over Fraction, phase-1 simplex on integer rows)
 # ---------------------------------------------------------------------------
 
 def _reduced_echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -324,7 +330,7 @@ def kernel_vector(vectors: Sequence[Vec], dimension: int) -> Vec | None:
 
 
 def _nonnegative_solution(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> list[Fraction] | None:
     """Some z >= 0 with matrix . z = rhs, or None if there is none.
 
@@ -332,33 +338,51 @@ def _nonnegative_solution(
     and their sum is pivoted down to its minimum, which is 0 exactly when
     a solution exists. Bland's rule (the lowest improving column enters;
     among tied ratios the lowest basic variable leaves) rules out cycling.
+    Each row, the cost row too, is kept as integers, a positive multiple
+    of its ``Fraction`` form: a pivot cross-multiplies, and each row it
+    changes is divided by its gcd (fraction-free elimination; Bareiss,
+    Math. Comp. 22, 1968). Signs, ratios and so every choice are those of
+    the ``Fraction`` tableau, and so is the vertex returned.
     """
     m, n = len(matrix), len(matrix[0])
-    tableau = [
-        [*(c if b >= 0 else -c for c in row), *(Fraction(int(i == k)) for k in range(m)), abs(b)]
-        for i, (row, b) in enumerate(zip(matrix, rhs))
-    ]
+    # each equation times one positive integer that clears every
+    # denominator, and negated where b < 0: row i is that scale times its
+    # Fraction form, and so is the cost row
+    scale = lcm(*(c.denominator for row in (*matrix, rhs) for c in row))
+    tableau = []
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        sign_scale = -scale if b < 0 else scale
+        *coefficients, b = (c.numerator * (sign_scale // c.denominator) for c in (*row, b))
+        tableau.append([*coefficients, *(scale * (i == k) for k in range(m)), b])
     basis = list(range(n, n + m))
     # reduced costs of the artificials' sum; the last entry is minus that sum
     cost = [-sum(column) for column in zip(*tableau)]
-    cost[n : n + m] = [Fraction(0)] * m
+    cost[n : n + m] = [0] * m
     while (enter := next((j for j in range(n + m) if cost[j] < 0), None)) is not None:
-        # the sum is bounded below by 0, so the column has a positive entry
-        _, _, leave = min(
-            (row[-1] / row[enter], basis[i], i) for i, row in enumerate(tableau) if row[enter] > 0
-        )
-        pivot = tableau[leave]
-        pivot[:] = [v / pivot[enter] for v in pivot]
+        # the sum is bounded below by 0, so the column has a positive entry;
+        # the ratios row[-1] / row[enter] are compared by cross-products
+        leave = None
+        for i, row in enumerate(tableau):
+            if row[enter] > 0 and (leave is None or (row[-1] * pivot[enter], basis[i])
+                                   < (pivot[-1] * row[enter], basis[leave])):
+                leave, pivot = i, row
+        p = pivot[enter]
         for row in (*tableau[:leave], *tableau[leave + 1 :], cost):
             if factor := row[enter]:
-                row[:] = [a - factor * p for a, p in zip(row, pivot)]
+                row[:] = _primitive([p * a - factor * b for a, b in zip(row, pivot)])
         basis[leave] = enter
     if cost[-1]:
         return None
     z = [Fraction(0)] * (n + m)
     for row, j in zip(tableau, basis):
-        z[j] = row[-1]
+        z[j] = Fraction(row[-1], row[j])
     return z[:n]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """A nonzero row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +492,11 @@ def _slack_solution(
     simplex sees x as x+ - x- with both parts nonnegative."""
     m, d = len(rows), len(rows[0])
     matrix = [
-        [*a, *(-c for c in a), *(Fraction(-int(i == k)) for k in range(m))]
-        for i, a in enumerate(rows)
+        [*a, *(-c for c in a), *(-int(i == k) for k in range(m))] for i, a in enumerate(rows)
     ]
     rhs_column = [rhs] * m
     if slack_sum is not None:
-        matrix.append([Fraction(0)] * (2 * d) + [Fraction(1)] * m)
+        matrix.append([0] * (2 * d) + [1] * m)
         rhs_column.append(slack_sum)
     z = _nonnegative_solution(matrix, rhs_column)
     return None if z is None else Vec(tuple(p - n for p, n in zip(z[:d], z[d : 2 * d])))
@@ -508,7 +531,11 @@ class OrderedSpace(_Record):
             )
 
     @classmethod
+    @cache
     def orthant(cls, dimension: int) -> "OrderedSpace":
+        """The space ordered by the nonnegative orthant: one shared instance
+        per class and dimension, built and checked once, as records are
+        immutable."""
         return cls(dimension, PolyhedralCone.orthant(dimension))
 
     def zero(self) -> Vec:

@@ -352,7 +352,10 @@ def load_instance_file(path: str | Path) -> LoadedInstance:
 # ---------------------------------------------------------------------------
 
 def vec_json(vec: Vec) -> list[str]:
-    return [format_rational(c) for c in vec]
+    try:
+        return list(map(str, vec.coords))
+    except ValueError:  # a part past the interpreter's int-string limit
+        return list(map(format_rational, vec.coords))
 
 
 def space_json(space: OrderedSpace) -> dict:

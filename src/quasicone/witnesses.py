@@ -202,8 +202,15 @@ class _Conditions:
         return WitnessVerdict(True)
 
     def certified(self) -> list[Label]:
-        """The candidates the table certifies, in label order."""
-        return [h for i, h in enumerate(self.candidates) if self.verdict(i).holds]
+        """The candidates the table certifies, in label order: those whose
+        verdict holds, decided from the images alone. No gap may fail, and
+        an anchor's image must equal its distance's and be at most the
+        floor, which the floor, the componentwise minimum, is only when
+        equal to it."""
+        if self.gap is not None:
+            return []
+        floor = self.floor
+        return [h for h, f, d in zip(self.candidates, self.pf, self.pd) if f == d == floor]
 
     def set_verdict(self, members: Iterable[Label]) -> WitnessVerdict:
         """The verdict for every member at once: that of the first failing

@@ -731,6 +731,12 @@ class TestExitCodes:
     def test_bad_grid_spec_is_3(self):
         assert run("example", "example4", "--grid", "0..2").exit_code == 3
         assert run("example", "example4", "--grid", "0:2:0").exit_code == 3
+        result = run("example", "example4", "--grid", "a:1:1")
+        assert result.exit_code == 3
+        assert "grid spec has non-rational parts: 'a:1:1'" in result.stderr
+        result = run("example", "example4", "--grid", "2:1:1")
+        assert result.exit_code == 3
+        assert "grid stop must not precede start" in result.stderr
 
     def test_oversized_grid_is_3_before_any_work(self):
         # a subprocess, so that a missing cap fails on the timeout instead

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
@@ -20,7 +20,8 @@ from quasicone import (
     format_rational,
     kernel_vector,
 )
-from quasicone.cones import _slack_solution, project
+from quasicone import cones
+from quasicone.cones import _nonnegative_solution, _reduced_echelon, _slack_solution, project
 from quasicone.reports import _nonzero_member
 
 from helpers import pointed_cones, vectors
@@ -146,6 +147,42 @@ class TestVec:
         for result in (a + b, a - b, -a, a * 2, 2 * a, a * "1/3"):
             assert all(type(c) is Fraction for c in result)
             assert result == Vec(tuple(result.coords))
+
+    def test_indexing(self):
+        v = Vec.of(1, "1/2", -3)
+        assert (v[0], v[1], v[-1]) == (Fraction(1), Fraction(1, 2), Fraction(-3))
+        with pytest.raises(IndexError):
+            v[3]
+
+    def test_only_exact_fractions_skip_coercion(self, monkeypatch):
+        """A tuple of ``Fraction``s is kept as given; any other coordinate,
+        a ``Fraction`` subclass included, sends every one through
+        ``as_rational``, with its values and its errors."""
+        class Half(Fraction):
+            pass
+
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return as_rational(value)
+
+        monkeypatch.setattr(cones, "as_rational", counting)
+        coords = (Fraction(1, 2), Fraction(-3), Fraction(0))
+        assert Vec(coords).coords is coords
+        assert Vec(iter(coords)).coords == coords
+        assert Vec(()).coords == ()
+        assert calls == []
+        for given in ((1, Fraction(1, 2)), ("1/2", Fraction(1)), (Half(1, 2), Fraction(1))):
+            calls.clear()
+            assert Vec(given).coords == tuple(map(as_rational, given))
+            assert calls == list(given)
+        calls.clear()
+        with pytest.raises(NotARational, match="booleans"):
+            Vec((Fraction(1), True))
+        assert calls == [Fraction(1), True]
+        with pytest.raises(NotARational, match="floats"):
+            Vec((Fraction(1), 0.5))
 
 
 class TestMembership:
@@ -282,6 +319,10 @@ class TestLinearAlgebra:
         with pytest.raises(DimensionMismatch):
             exact_rank([Vec.of(0, 1), Vec.of(1)])
 
+    def test_empty_input(self):
+        assert exact_rank([]) == 0
+        assert _reduced_echelon([]) == ([], [])
+
 
 class TestConeAxioms:
     def test_orthant_passes(self):
@@ -329,6 +370,11 @@ class TestOrderedSpace:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             OrderedSpace(3, PolyhedralCone.orthant(2))
+
+    def test_orthant_is_shared_per_dimension(self):
+        assert OrderedSpace.orthant(2) is OrderedSpace.orthant(2)
+        assert OrderedSpace.orthant(3) is not OrderedSpace.orthant(2)
+        assert OrderedSpace.orthant(2) == OrderedSpace(2, PolyhedralCone.orthant(2))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -434,3 +480,72 @@ class TestExactDecisions:
         if any(all(v >= 0 for v in image) for image in images):
             assert member is not None
             assert check_cone_axioms(cone)["C1"].passed
+
+
+def fraction_tableau_solution(matrix, rhs):
+    """Phase 1 of the simplex method on a ``Fraction`` tableau, with
+    Bland's rule: the reference that ``_nonnegative_solution`` must agree
+    with, vertex for vertex."""
+    m, n = len(matrix), len(matrix[0])
+    tableau = [
+        [*(Fraction(c if b >= 0 else -c) for c in row), *(Fraction(int(i == k)) for k in range(m)),
+         Fraction(abs(b))]
+        for i, (row, b) in enumerate(zip(matrix, rhs))
+    ]
+    basis = list(range(n, n + m))
+    cost = [-sum(column) for column in zip(*tableau)]
+    cost[n : n + m] = [Fraction(0)] * m
+    while (enter := next((j for j in range(n + m) if cost[j] < 0), None)) is not None:
+        _, _, leave = min(
+            (row[-1] / row[enter], basis[i], i) for i, row in enumerate(tableau) if row[enter] > 0
+        )
+        pivot = tableau[leave]
+        pivot[:] = [v / pivot[enter] for v in pivot]
+        for row in (*tableau[:leave], *tableau[leave + 1 :], cost):
+            if factor := row[enter]:
+                row[:] = [a - factor * p for a, p in zip(row, pivot)]
+        basis[leave] = enter
+    if cost[-1]:
+        return None
+    z = [Fraction(0)] * (n + m)
+    for row, j in zip(tableau, basis):
+        z[j] = row[-1]
+    return z[:n]
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3) | st.integers(-3, 3)
+
+
+@st.composite
+def linear_systems(draw):
+    """A matrix and a right-hand side, some ``Fraction``s and some ints:
+    either any rhs, often infeasible, or matrix . z for a drawn z >= 0,
+    always feasible."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    matrix = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(m)]
+    if draw(st.booleans()):
+        rhs = draw(st.lists(small, min_size=m, max_size=m))
+    else:
+        z = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=3),
+                          min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(row, z)), Fraction(0)) for row in matrix]
+    return matrix, rhs
+
+
+class TestIntegerSimplex:
+    @settings(max_examples=400, deadline=None)
+    @given(linear_systems())
+    def test_matches_the_fraction_tableau(self, system):
+        matrix, rhs = system
+        expected = fraction_tableau_solution(matrix, rhs)
+        z = _nonnegative_solution(matrix, rhs)
+        event("infeasible" if expected is None else "feasible")
+        assert z == expected
+        if z is not None:
+            assert all(type(x) is Fraction and x >= 0 for x in z)
+            assert [sum(a * x for a, x in zip(row, z)) for row in matrix] == rhs
+
+    def test_a_multi_pivot_vertex(self):
+        rows = ((3, -1, 0), (0, 2, -1), (-1, 0, 4), ("1/2", "1/3", "1/5"))
+        cone = PolyhedralCone(3, tuple(Vec.of(*row) for row in rows))
+        assert cone.interior_point == Vec.of("89/71", "111/142", "40/71")

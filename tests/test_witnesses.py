@@ -35,7 +35,7 @@ from quasicone import (
 from quasicone import witnesses
 from quasicone.cones import kernel_vector
 from quasicone.metric import _best_indices
-from helpers import axiom_tables, pointed_cones, rational_grid, seeded_instances
+from helpers import axiom_tables, pointed_cones, rational_grid, seeded_instances, vectors
 
 H_GRID = rational_grid(0, 2, "1/4")
 H_LABELS = frozenset(label for label, _ in H_GRID)
@@ -402,6 +402,59 @@ class TestBestSetProperties:
                     )
             found = search_counterexample_witness(instance, q, candidates, direction=direction)
             assert found == ((w, best) if len(best) >= 2 else None)
+
+
+@st.composite
+def moved_witness_cases(draw):
+    """A random table, query and candidate set, with the canonical table of
+    a random direction where some entries are moved: down by the cone
+    member that the table's entries are multiples of, which keeps each
+    gap in the cone, or by any small vector."""
+    instance, q, candidates = draw(best_set_cases())
+    direction = draw(st.sampled_from((FORWARD, BACKWARD)))
+    f = dict(canonical_witness(instance, q, direction).f)
+    member = next((v for _, _, v in instance.entries() if not v.is_zero), None)
+    shifts = st.just(member) if member is not None else st.nothing()
+    for x in draw(st.lists(st.sampled_from(instance.points), unique=True)):
+        f[x] = f[x] - draw(shifts | vectors(instance.space.dimension))
+    return instance, WitnessTable(q, direction, f), candidates
+
+
+def verdicts_hold(conditions):
+    return [h for i, h in enumerate(conditions.candidates) if conditions.verdict(i).holds]
+
+
+class TestCertified:
+    """``_Conditions.certified`` decides from the images alone; it must
+    name exactly the anchors whose full verdict holds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(moved_witness_cases())
+    def test_equals_the_verdicts_on_moved_tables(self, case):
+        instance, witness, candidates = case
+        conditions = witnesses._Conditions(instance, witness, candidates)
+        certified = conditions.certified()
+        event(f"{min(len(certified), 2)} certified")
+        assert certified == verdicts_hold(conditions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(boundary_gap_cases())
+    def test_equals_the_verdicts_on_face_gaps(self, case):
+        instance, u, gaps = case
+        candidates = ["h", *gaps]
+        interior = instance.space.cone.interior_point
+        for direction in (FORWARD, BACKWARD):
+            d = {x: directed_distance(instance, "q", x, direction) for x in instance.points}
+            f = {x: d[x] - u * gaps.get(x, 0) for x in d}
+            x = next(x for x in sorted(gaps) if gaps[x])
+            for table in (f, {**f, x: f[x] + interior * Fraction(1, 1000)}):
+                conditions = witnesses._Conditions(
+                    instance, WitnessTable("q", direction, table), candidates
+                )
+                assert conditions.certified() == verdicts_hold(conditions)
+            assert "h" in verdicts_hold(witnesses._Conditions(
+                instance, WitnessTable("q", direction, f), candidates
+            ))
 
 
 class TestBackwardMirrors:
