@@ -131,9 +131,10 @@ class _Record:
     """Base of the package's immutable value types. A subclass names its
     fields in ``__slots__``, in order, the defaults of trailing ones in
     ``_defaults``, and, when ``==`` and ``hash`` must skip a field, the ones
-    they read in ``_compared``. An instance takes its fields by position or
-    by name, then runs ``__post_init__``, and no field can be set or deleted
-    after that. As for a frozen dataclass, instances are equal only when
+    they read in ``_compared``; a subclass of a record type that declares
+    ``__slots__ = ()`` keeps its base's fields. An instance takes its
+    fields by position or by name, then runs ``__post_init__``, and no
+    field can be set or deleted after that. As for a frozen dataclass, instances are equal only when
     they are of one class and their compared fields are equal, the hash is
     that of the compared fields' tuple, and the repr names every field. The
     methods are shared and a class only has its field names read once, so
@@ -145,7 +146,7 @@ class _Record:
     _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__match_args__ = cls.__slots__
+        cls._fields = cls.__match_args__ = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
         compared = cls._compared or cls._fields
         get = attrgetter(*compared)
         cls._key = staticmethod(get if len(compared) > 1 else lambda self: (get(self),))

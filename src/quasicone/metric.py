@@ -14,10 +14,12 @@ columns, as integer images, one positive scale per cone row and call. A
 table read from a file keeps its literals, each a plain string
 (``cones.PLAIN_LITERAL``), and converts an entry on every read; its images
 come from the literals' numerators. The two closed-form generators (a
-two-valued direction metric over Q^2 and a slack metric with a positive
-parameter alpha) keep nothing: a read evaluates the closed form, and
-images come from the coordinates on one integer grid. Only a store of
-``Vec``s goes through ``cones._vec_grid``, as ``project`` does.
+two-valued direction metric and a slack metric with a positive parameter
+alpha, both over Q^2 with the orthant cone) are built only by
+``build_example3`` and ``build_example4`` and keep nothing: a read
+evaluates the closed form, and images come from the coordinates on one
+integer grid. Only a store of ``Vec``s goes through ``cones._vec_grid``,
+as ``project`` does.
 
 Every block read of the table goes through ``QcmInstance._images``, so a
 query pays only for the entries it reads: ``_best_indices`` reads the one
@@ -49,12 +51,9 @@ ALPHA_METRIC = "example4-alpha-metric"
 
 
 class Provenance(_Record):
-    """How an instance's table came to be.
-
-    Generator provenances carry their parameters: the instance computes
-    its entries from them, and a table supplied by the caller is compared
-    against them exactly at construction time.
-    """
+    """How an instance's table came to be: an explicit table, or one of
+    the two closed-form generators with its parameters, from which the
+    instance computes its entries."""
 
     __slots__ = ("kind", "alpha", "coordinates")
     _defaults = {"alpha": None, "coordinates": None}
@@ -67,6 +66,13 @@ class Provenance(_Record):
 
 
 _EXPLICIT = Provenance(EXPLICIT_TABLE)
+
+
+def _not_total(points: Sequence[Label], table: Mapping) -> ValueError:
+    """The error for a table without an entry for some pair of points; it
+    names the first such pair in ground-set order."""
+    r, s = next((r, s) for r in points for s in points if (r, s) not in table)
+    return ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
 
 
 def _first_repeat(items: Sequence) -> int | None:
@@ -89,17 +95,14 @@ class QcmInstance:
     """A finite ground set with a total cone-valued distance table.
 
     Immutable after construction, so instances are safe to share. Every
-    read goes through the instance's reader and keeps nothing. A table of
-    ``Vec``s passed to the constructor is the reader's store, and a key of
-    it that is not a pair of points raises ``UnknownLabel``; with a
-    generator provenance the table is instead checked against the closed
-    form entry by entry and dropped, and the reader evaluates the closed
-    form on every read; a provenance with an unknown kind, a missing or
-    nonpositive alpha, or a missing or non-rational coordinate raises a
-    ``ValueError`` that names the field, and one that puts two points at
-    one coordinate raises ``DuplicateLabel``. A table that the file parser
-    built keeps its validated literals, and the reader converts an entry
-    on every read.
+    read goes through the instance's reader and keeps nothing. The
+    constructor takes an explicit table of ``Vec``s, which becomes the
+    reader's store; a key of it that is not a pair of points raises
+    ``UnknownLabel``. A closed-form instance comes only from
+    ``build_example3`` and ``build_example4``, and its reader evaluates
+    the closed form on every read. A table that the file parser built
+    keeps its validated literals, and the reader converts an entry on
+    every read.
     """
 
     def __init__(
@@ -107,7 +110,6 @@ class QcmInstance:
         space: OrderedSpace,
         points: Sequence[Label],
         table: Mapping[tuple[Label, Label], Vec],
-        provenance: Provenance = _EXPLICIT,
     ):
         points = _ground_set(points)
         store: dict[tuple[Label, Label], Vec] = {}
@@ -116,7 +118,7 @@ class QcmInstance:
                 try:
                     value = table[(r, s)]
                 except KeyError:
-                    raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})") from None
+                    raise _not_total(points, table) from None
                 if value.dimension != space.dimension:
                     raise DimensionMismatch(
                         f"entry d({r!r}, {s!r}) has dimension {value.dimension}, "
@@ -126,20 +128,11 @@ class QcmInstance:
         if len(table) != len(store):
             key = next(key for key in table if key not in store)
             raise UnknownLabel(f"table entry {key!r} is not a pair of points")
-        if provenance.kind == EXPLICIT_TABLE:
-            read = lambda r, s: store[r, s]
-            grid = lambda rows, cols: _vec_grid(
-                [store[r, s] for r in rows for s in cols], space.dimension
-            )
-        else:
-            read, grid = _closed_form(provenance, points)
-            for (r, s), value in store.items():
-                if value != read(r, s):
-                    raise ValueError(
-                        f"table entry d({r!r}, {s!r}) = {value} does not "
-                        f"match its generator value {read(r, s)}"
-                    )
-        self._init(space, points, provenance, read, grid)
+        read = lambda r, s: store[r, s]
+        grid = lambda rows, cols: _vec_grid(
+            [store[r, s] for r in rows for s in cols], space.dimension
+        )
+        self._init(space, points, _EXPLICIT, read, grid)
 
     @classmethod
     def _on_read(
@@ -156,8 +149,7 @@ class QcmInstance:
         if literals is None:
             read, grid = _closed_form(provenance, points)
         elif len(literals) != len(points) ** 2:
-            r, s = next((r, s) for r in points for s in points if (r, s) not in literals)
-            raise ValueError(f"table is not total: missing entry for ({r!r}, {s!r})")
+            raise _not_total(points, literals)
         else:
             read = lambda r, s: Vec._trusted(tuple(map(plain_value, literals[r, s])))
             grid = lambda rows, cols: _literal_grid(
@@ -282,39 +274,17 @@ def directed_distance(
 # Closed-form generators
 # ---------------------------------------------------------------------------
 
-def _is_rational(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 def _closed_form(
     provenance: Provenance, points: Sequence[Label]
 ) -> tuple[Callable[[Label, Label], Vec],
            Callable[[Sequence[Label], Sequence[Label]], tuple]]:
-    """The reader of a generator provenance, its closed form at the two
-    points' coordinates, and its grid, a block of entries in the form
-    ``cones._row_images`` takes. A provenance that cannot give every entry
-    over ``points`` raises a ``ValueError`` that names its field, and the
-    first point (in the order of ``points``) at the coordinate of an
-    earlier one a ``DuplicateLabel``. The builders and the file parser rely
-    on this."""
+    """The reader of a generator provenance that ``_generated`` made, its
+    closed form at the two points' coordinates, and its grid, a block of
+    entries in the form ``cones._row_images`` takes. The first point (in
+    the order of ``points``) at the coordinate of an earlier one raises a
+    ``DuplicateLabel``; the builders and the file parser rely on this."""
     kind, alpha = provenance.kind, provenance.alpha
-    if kind not in (DIRECTION_METRIC, ALPHA_METRIC):
-        raise ValueError(
-            f"provenance.kind: unknown kind {kind!r}; expected {EXPLICIT_TABLE!r}, "
-            f"{DIRECTION_METRIC!r} or {ALPHA_METRIC!r}"
-        )
-    if kind == ALPHA_METRIC and not (_is_rational(alpha) and alpha > 0):
-        raise ValueError(f"provenance.alpha: {kind!r} needs a positive rational, got {alpha!r}")
     coords = provenance.coordinate_map()
-    missing = [label for label in points if label not in coords]
-    if missing:
-        raise ValueError(f"provenance.coordinates: no coordinate for points {missing}")
-    bad = next((label for label in points if not _is_rational(coords[label])), None)
-    if bad is not None:
-        raise ValueError(
-            f"provenance.coordinates: the coordinate of {bad!r} is not an int or a "
-            f"Fraction: {coords[bad]!r}"
-        )
     values = [coords[label] for label in points]
     i = _first_repeat(values)
     if i is not None:
@@ -450,4 +420,4 @@ def transpose(instance: QcmInstance) -> QcmInstance:
     metric.
     """
     swapped = {(s, r): value for r, s, value in instance.entries()}
-    return QcmInstance(instance.space, instance.points, swapped, _EXPLICIT)
+    return QcmInstance(instance.space, instance.points, swapped)

@@ -2,15 +2,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicone import (
     DimensionMismatch,
     DuplicateLabel,
+    InstanceFileError,
     OrderedSpace,
-    PolyhedralCone,
-    Provenance,
     QcmInstance,
     Query,
     QueryFamily,
@@ -22,14 +21,13 @@ from quasicone import (
     build_example4,
     canonical_witness,
     directed_distance,
-    exact_rank,
     transpose,
     verify_axioms,
 )
 from quasicone import metric, reports
 from quasicone.cones import project
 from quasicone.files import instance_json, parse_instance
-from helpers import axiom_tables, rational_grid, read_blocks, vectors
+from helpers import axiom_tables, rational_grid, read_blocks
 
 
 class TestDirectionMetric:
@@ -79,17 +77,21 @@ class TestInstanceConstruction:
         with pytest.raises(ValueError, match="not total"):
             QcmInstance(space, ["a", "b"], {("a", "a"): Vec.zero(2)})
 
+    def test_totality_names_the_first_missing_pair_in_ground_set_order(self):
+        # the constructor and the file parser give one message
+        missing = r"table is not total: missing entry for \('b', 'a'\)$"
+        with pytest.raises(ValueError, match="^" + missing):
+            QcmInstance(OrderedSpace.orthant(1), ["b", "a"], {(p, p): Vec.of(0) for p in "ba"})
+        doc = {"space": {"dimension": 1, "rows": [["1"]]}, "points": ["b", "a"],
+               "metric": {"kind": "table", "entries": [["b", "b", ["0"]], ["a", "a", ["0"]]]}}
+        with pytest.raises(InstanceFileError, match=r"^metric\.entries: " + missing):
+            parse_instance(doc)
+
     def test_entries_for_labels_that_are_not_points_rejected(self):
         table = {("a", "a"): Vec.zero(2), ("a", "ghost"): Vec.of(1, 1),
                  ("ghost", "ghost"): Vec.of(-1, 5)}
         with pytest.raises(UnknownLabel, match=r"^table entry \('a', 'ghost'\) is not a pair of points$"):
             QcmInstance(OrderedSpace.orthant(2), ["a"], table)
-        # a generator provenance checks the points' entries against its
-        # closed form and must not drop the others unseen either
-        inst = build_example4([("0", 0), ("1", 1)], 2)
-        table = {("ghost", "0"): Vec.zero(2), **{(r, s): v for r, s, v in inst.entries()}}
-        with pytest.raises(UnknownLabel, match=r"table entry \('ghost', '0'\) is not a pair"):
-            QcmInstance(inst.space, inst.points, table, inst.provenance)
 
     def test_entry_dimension_checked(self):
         space = OrderedSpace.orthant(2)
@@ -101,60 +103,6 @@ class TestInstanceConstruction:
         table[("a", "b")] = Vec.of(1, 0, 0)
         with pytest.raises(DimensionMismatch):
             QcmInstance(space, ["a", "b"], table)
-
-    def test_generator_provenance_revalidated(self):
-        inst = build_example3([("1", 1), ("2", 2)])
-        broken = {
-            (r, s): v for r, s, v in inst.entries()
-        }
-        broken[("1", "2")] = Vec.of(1, 1)
-        with pytest.raises(ValueError, match="generator"):
-            QcmInstance(inst.space, inst.points, broken, inst.provenance)
-
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            (dict(coordinates=(("0", Fraction(0)),)),
-             r"^provenance\.coordinates: no coordinate for points \['1'\]$"),
-            (dict(kind="nonsense"), r"^provenance\.kind: unknown kind 'nonsense'"),
-            (dict(alpha=None), r"^provenance\.alpha: 'example4-alpha-metric' needs a positive rational, got None$"),
-            (dict(alpha=Fraction(0)), r"^provenance\.alpha: .* got Fraction\(0, 1\)$"),
-            (dict(coordinates=(("0", "0"), ("1", "1"))),
-             r"^provenance\.coordinates: the coordinate of '0' is not an int or a Fraction: '0'$"),
-        ],
-        ids=["missing-coordinate", "unknown-kind", "alpha-none", "alpha-zero", "string-coordinate"],
-    )
-    def test_bad_generator_provenance_names_its_field(self, change, message):
-        inst = build_example4([("0", 0), ("1", 1)], 2)
-        table = {(r, s): v for r, s, v in inst.entries()}
-        p = inst.provenance
-        provenance = Provenance(
-            **{"kind": p.kind, "alpha": p.alpha, "coordinates": p.coordinates, **change}
-        )
-        with pytest.raises(ValueError, match=message):
-            QcmInstance(inst.space, inst.points, table, provenance)
-
-    @pytest.mark.parametrize("build", [build_example3, lambda points: build_example4(points, 2)],
-                             ids=["example3", "example4"])
-    def test_generator_provenance_with_shared_coordinate_rejected(self, build):
-        # the all-zero table is what the closed form gives at one coordinate,
-        # so only the coordinate check stands between it and a QCM2 failure
-        inst = build([("0", 0), ("1", 1)])
-        table = {(r, s): Vec.zero(2) for r in inst.points for s in inst.points}
-        provenance = Provenance(
-            inst.provenance.kind, inst.provenance.alpha, (("0", Fraction(1)), ("1", Fraction(1)))
-        )
-        with pytest.raises(DuplicateLabel, match=r"^points '0' and '1' share coordinate 1; "):
-            QcmInstance(inst.space, inst.points, table, provenance)
-
-    @pytest.mark.parametrize("pair", [("0", "0"), ("1", "0"), ("3/2", "1/2")])
-    def test_generator_table_with_one_wrong_entry_rejected(self, pair):
-        inst = build_example4(rational_grid(0, 2, "1/2"), "1/3")
-        table = {(r, s): v for r, s, v in inst.entries()}
-        assert QcmInstance(inst.space, inst.points, table, inst.provenance).table_equal(inst)
-        table[pair] = table[pair] + Vec.of(0, "1/7")
-        with pytest.raises(ValueError, match=rf"d\({pair[0]!r}, {pair[1]!r}\) = .* generator"):
-            QcmInstance(inst.space, inst.points, table, inst.provenance)
 
 
 class TestDirectionChecks:
@@ -208,14 +156,6 @@ class TestEntriesReadOnDemand:
         assert inst.distance("3", "1") == first
         assert evaluations == [(3, 1), (3, 1)]
 
-    def test_checked_generator_table_is_dropped(self, evaluations):
-        inst = build_example4(rational_grid(0, 2, 1), 2)
-        table = {(r, s): v for r, s, v in inst.entries()}
-        checked = QcmInstance(inst.space, inst.points, table, inst.provenance)
-        evaluations.clear()
-        checked.distance("2", "0")
-        assert evaluations == [(2, 0)]
-
     def test_transpose_matches_explicit_copy(self):
         inst = build_example4(rational_grid(-2, 2, "1/2"), "3/2")
         explicit = QcmInstance(inst.space, inst.points, {(r, s): v for r, s, v in inst.entries()})
@@ -254,27 +194,17 @@ def assert_images_are_positive_multiples(instance, rows, cols):
 @st.composite
 def example_instances(draw):
     """Example 3 or 4 over up to 8 distinct coordinates, in no particular
-    order, with random denominators, and alpha = 1 among the alphas. Some
-    are moved to a random pointed cone in Q^2 through the public
-    constructor, which keeps the closed form as the reader."""
+    order, with random denominators, and alpha = 1 among the alphas."""
     denominators = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
     coordinate = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(denominators))
     values = draw(st.lists(coordinate, min_size=1, max_size=8, unique=True))
     points = [(f"x{i}", v) for i, v in enumerate(values)]
     if draw(st.booleans()):
-        instance = build_example3(points)
-    else:
-        alpha = draw(st.one_of(
-            st.just(1), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
-        ))
-        instance = build_example4(points, alpha)
-    if draw(st.booleans()):
-        rows = draw(st.lists(vectors(2), min_size=2, max_size=4))
-        assume(not any(row.is_zero for row in rows) and exact_rank(rows) == 2)
-        space = OrderedSpace(2, PolyhedralCone(2, tuple(rows)))
-        table = {(r, s): v for r, s, v in instance.entries()}
-        instance = QcmInstance(space, instance.points, table, instance.provenance)
-    return instance
+        return build_example3(points)
+    alpha = draw(st.one_of(
+        st.just(1), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+    ))
+    return build_example4(points, alpha)
 
 
 def respell(literal, how, k):
@@ -329,6 +259,34 @@ class TestImages:
     def test_file_table_images_match_the_vec_route(self, instance, data):
         assert_blocks_are_positive_multiples(instance, data)
         assert verify_axioms(instance) == verify_axioms(vec_copy(instance))
+
+
+@st.composite
+def public_instances(draw):
+    """An instance from a route of the public API: a builder, an explicit
+    table over a random pointed cone, or a parsed file, each transposed or
+    not."""
+    instance = draw(st.one_of(example_instances(), axiom_tables(), file_tables()))
+    return transpose(instance) if draw(st.booleans()) else instance
+
+
+class TestFileRoundTrip:
+    """``instance_json`` writes every instance so that ``parse_instance``
+    reads back the same instance: a closed form only ever lives on the
+    orthant that its file implies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(public_instances(), st.data())
+    def test_every_instance_survives_its_file(self, instance, data):
+        if instance.provenance.kind != "explicit-table":  # the space its file implies
+            assert instance.space == OrderedSpace.orthant(2)
+        again = parse_instance(instance_json(instance)).instance
+        assert again.space == instance.space and again.provenance == instance.provenance
+        assert again.table_equal(instance)
+        labels = st.sampled_from(instance.points)
+        query = Query(data.draw(labels), data.draw(st.sets(labels, min_size=1)),
+                      data.draw(st.sampled_from(["forward", "backward"])))
+        assert best_approximation_set(again, query) == best_approximation_set(instance, query)
 
 
 def explicit_instance(entries, dim=2):

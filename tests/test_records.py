@@ -222,3 +222,14 @@ def test_loaded_instance_is_mutable_and_unhashable():
     loaded.embedding = {"a": Vec.of(1)}
     assert loaded.embedding == {"a": Vec.of(1)}
     assert copy.copy(loaded) == loaded
+
+
+class Space(OrderedSpace):
+    __slots__ = ()  # a slotted subclass that adds no field
+
+
+def test_subclass_with_empty_slots_keeps_its_base_fields():
+    record, again = Space(2, PolyhedralCone(2, ROWS)), Space(2, PolyhedralCone(2, ROWS))
+    assert repr(record) == f"Space(dimension=2, cone={ORTHANT2})"
+    assert record == again and hash(record) == hash(again)
+    assert record != OrderedSpace(2, PolyhedralCone(2, ROWS))

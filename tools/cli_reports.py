@@ -7,7 +7,7 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Twenty-nine more invocations run once:
+on each file: 128 reports. Thirty more invocations run once:
 ``example`` itself, ``classify`` on a file without queries, the CLI's own
 exit 2 and 3 checks (among them a ``--query`` selector that ``int()``
 would read as a number but the package's integer grammar reads as a
@@ -19,9 +19,11 @@ that are not plain is compared too, ``verify`` on two small tables that
 fail the metric axioms (``write_failing_tables``), one of them with lanes
 too wide for the packed triangle pass, ``verify`` on a table over a cone
 whose interior point takes several simplex pivots (``write_skew_table``),
+``verify`` on an Example 4 file whose ``space`` is not the orthant
+(``write_skew_example4``), which the parser rejects,
 and ``witness --mode check`` on six edited copies of one emitted witness
 file (``edit_witness``): one with a bad direction and one for each check
-of a table against its instance, 157 reports in all. For each invocation it keeps stdout, the exit code and
+of a table against its instance, 158 reports in all. For each invocation it keeps stdout, the exit code and
 stderr without its ``elapsed:`` line.
 Commands run in OUT_DIR with relative paths, so the reports of two trees
 differ only where the program's answers or messages do:
@@ -72,13 +74,14 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
 
 def once_invocations(
     queried: str, free: str, broken: str, respelled: str, mixed: str, failing: str, wide: str,
-    skew: str, witness: str,
+    skew: str, skew_example4: str, witness: str,
 ) -> dict[str, list[str]]:
-    """The 29 invocations run once, in order, by report name: the second
+    """The 30 invocations run once, in order, by report name: the second
     and third write ``queried`` and ``free``, which later ones read,
     ``broken`` holds ``{not json``, ``respell`` writes ``respelled``,
     ``mix`` writes ``mixed``, ``write_failing_tables`` writes ``failing``
     and ``wide``, ``write_skew_table`` writes ``skew``,
+    ``write_skew_example4`` writes ``skew_example4``,
     ``witness-emit-file`` writes ``witness`` and
     ``edit_witness`` its edited copies, which the last six read."""
     edited = witness.removesuffix(".json")
@@ -112,6 +115,7 @@ def once_invocations(
         "verify-failing-pretty": ["verify", failing, "--pretty"],
         "verify-wide-failing": ["verify", wide],
         "verify-skew-cone": ["verify", skew],
+        "verify-example4-skew-space": ["verify", skew_example4],
         "witness-emit-file": ["witness", queried, "--mode", "emit", "--witness-path", witness],
         **checks,
     }
@@ -172,6 +176,16 @@ def write_skew_table(skew: Path) -> None:
     doc = {"space": {"dimension": 3, "rows": rows}, "points": ["a", "b"],
            "metric": {"kind": "table", "entries": entries}}
     skew.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def write_skew_example4(path: Path) -> None:
+    """Write an Example 4 file over the cone of Q^2 with the rows (1, 0) and
+    (1, 1). The closed forms fix the orthant, so ``verify`` exits 2 and
+    names the ``space`` field."""
+    doc = {"space": {"dimension": 2, "rows": [["1", "0"], ["1", "1"]]},
+           "points": [{"label": "0", "coordinate": "0"}, {"label": "1", "coordinate": "1"}],
+           "metric": {"kind": "example4", "alpha": "1/2"}}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 # One edit of a witness file for its direction, and one for each check of
@@ -255,11 +269,12 @@ def main(argv: list[str]) -> int:
     write_failing_tables(out / "files" / "once" / "failing.json",
                          out / "files" / "once" / "wide-failing.json")
     write_skew_table(out / "files" / "once" / "skew.json")
+    write_skew_example4(out / "files" / "once" / "example4-skew-space.json")
     once = once_invocations(
         "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json",
         "files/once/table30-respelled.json", "files/once/table30-mixed.json",
         "files/once/failing.json", "files/once/wide-failing.json", "files/once/skew.json",
-        "files/once/example4.witness.json",
+        "files/once/example4-skew-space.json", "files/once/example4.witness.json",
     )
     for report, args in once.items():
         record(args, out / "reports" / "once", report)
