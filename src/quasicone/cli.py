@@ -27,14 +27,19 @@ human-readable renderers.
 script both call it, it turns the cyclic garbage collector off: every
 object a command builds lives until the process exits, so a collection
 pass can free nothing and only costs time (about a hundred passes while a
-14,400-entry table is decoded and indexed). Importing the module, or
-calling ``main`` with a list of arguments as tests do, leaves the
-collector alone. ``main`` also maps every error a command raises to its
-exit code and prints the elapsed time.
+14,400-entry table is decoded and indexed). It also registers
+``gc.freeze`` with ``atexit``, so the one full pass that CPython makes
+while it shuts down, which ``gc.disable()`` does not stop, finds every
+object in the permanent generation and walks none of them (4 to 8 ms of
+a command's CPU). Importing the module, or calling ``main`` with a list of
+arguments as tests do, leaves the collector alone and freezes nothing.
+``main`` also maps every error a command raises to its exit code and
+prints the elapsed time.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -483,9 +488,16 @@ def main(argv: list[str] | None = None) -> None:
     With ``argv`` None the command is the whole process, so the collector
     goes off (the module docstring says why). Nothing turns it back on,
     since that would start a pass at once over everything the command
-    built."""
+    built. The interpreter's own exit pass is skipped too, since the
+    process's memory goes back to the system at exit anyway: an exit hook
+    freezes the heap, however the program ends (a report, an error exit or
+    a usage error), so that pass has nothing to walk. Unlike ``os._exit``
+    this keeps the other exit hooks, the flush of stdout and stderr, and
+    the freeing of what module globals hold, so a file leaked there still
+    warns; an object held only by a reference cycle is never finalized."""
     if argv is None:
         gc.disable()
+        atexit.register(gc.freeze)
         argv = sys.argv[1:]
     parser, valued = _parser()
     options = vars(parser.parse_args(_joined(list(argv), valued)))

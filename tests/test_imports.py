@@ -3,10 +3,11 @@ command loads only the modules it runs and never ``dataclasses`` or
 ``click``, every public name resolves, on first read, to the object in its
 home module, no module that every command loads imports one that only
 some commands use, and only the CLI program turns the cyclic garbage
-collector off: ``main`` called without arguments, as ``python -m
+collector off and freezes the heap at exit, so the interpreter's exit
+pass walks nothing: ``main`` called without arguments, as ``python -m
 quasicone.cli`` and the installed ``quasicone`` script call it. Importing
 the CLI, or calling ``main`` with a list of arguments, leaves the
-collector on."""
+collector on and freezes nothing."""
 import ast
 import importlib
 import inspect
@@ -110,18 +111,19 @@ def test_no_command_loads_click(workdir, args):
 
 def test_the_cli_program_runs_without_the_collector(workdir):
     # runpy runs the module as __main__, as `python -m quasicone.cli` does,
-    # and the exit hook reads the collector after the command has exited
+    # and the exit hook reads the collector after the command has exited;
+    # main's own hook, registered later, has run first and frozen the heap
     out = run_python(
         "-c",
         "import atexit, gc, runpy, sys\n"
         "print('before:', gc.isenabled())\n"
-        "atexit.register(lambda: print('at exit:', gc.isenabled()))\n"
+        "atexit.register(lambda: print('at exit:', gc.isenabled(), gc.get_freeze_count() > 0))\n"
         "sys.argv = ['quasicone', 'approx', 'ex.json']\n"
         "runpy.run_module('quasicone.cli', run_name='__main__', alter_sys=True)\n",
         cwd=workdir,
     ).stdout
     assert out.startswith("before: True\n")
-    assert out.endswith("at exit: False\n")
+    assert out.endswith("at exit: False True\n")
 
 
 def test_the_installed_script_runs_without_the_collector(workdir):
@@ -133,18 +135,21 @@ def test_the_installed_script_runs_without_the_collector(workdir):
         "sys.argv = ['quasicone', 'approx', 'ex.json']\n"
         "from quasicone.cli import main\n"
         "print('before:', gc.isenabled())\n"
-        "atexit.register(lambda: print('at exit:', gc.isenabled()))\n"
+        "atexit.register(lambda: print('at exit:', gc.isenabled(), gc.get_freeze_count() > 0))\n"
         "sys.exit(main())\n",
         cwd=workdir,
     ).stdout
     assert out.startswith("before: True\n")
-    assert out.endswith("at exit: False\n")
+    assert out.endswith("at exit: False True\n")
 
 
 def test_importing_the_cli_leaves_the_collector_on(workdir):
+    # the exit hook, registered before main runs, would run after any hook
+    # that main registered
     out = run_python(
         "-c",
-        "import contextlib, gc, io\n"
+        "import atexit, contextlib, gc, io\n"
+        "atexit.register(lambda: print('at exit:', gc.get_freeze_count()))\n"
         "from quasicone.cli import main\n"
         "print(gc.isenabled())\n"
         "for args in (['approx', 'ex.json'], ['approx', 'ex.json', '--query', '9']):\n"
@@ -154,10 +159,11 @@ def test_importing_the_cli_leaves_the_collector_on(workdir):
         "            main(args)\n"
         "        except SystemExit as exc:\n"
         "            code = exc.code\n"
-        "    print(code, gc.isenabled())\n",
+        "    print(code, gc.isenabled())\n"
+        "print(gc.get_freeze_count())\n",
         cwd=workdir,
     ).stdout
-    assert out == "True\n0 True\n3 True\n"
+    assert out == "True\n0 True\n3 True\n0\nat exit: 0\n"
 
 
 def test_package_import_loads_no_submodule(tmp_path):

@@ -7,8 +7,10 @@ SRC_DIR is the ``src`` directory of the tree under test. The script writes
 the seed 1 and seed 7 instance files of the three benchmark workloads
 through ``perfbench/workloads.py`` with the library in SRC_DIR, eight files
 in all, then runs 16 invocations of ``python -m quasicone.cli`` from SRC_DIR
-on each file: 128 reports. Thirty more invocations run once:
-``example`` itself, ``classify`` on a file without queries, the CLI's own
+on each file: 128 reports. Thirty-one more invocations run once:
+``example`` itself, ``classify`` on a file without queries and on a copy
+of the queried Example 4 file with a vector for every point (``embed``),
+which runs the rank census, the CLI's own
 exit 2 and 3 checks (among them a ``--query`` selector that ``int()``
 would read as a number but the package's integer grammar reads as a
 label), ``verify``, ``approx`` and ``witness --mode emit``
@@ -23,7 +25,7 @@ whose interior point takes several simplex pivots (``write_skew_table``),
 (``write_skew_example4``), which the parser rejects,
 and ``witness --mode check`` on six edited copies of one emitted witness
 file (``edit_witness``): one with a bad direction and one for each check
-of a table against its instance, 158 reports in all. For each invocation it keeps stdout, the exit code and
+of a table against its instance, 159 reports in all. For each invocation it keeps stdout, the exit code and
 stderr without its ``elapsed:`` line.
 Commands run in OUT_DIR with relative paths, so the reports of two trees
 differ only where the program's answers or messages do:
@@ -73,11 +75,12 @@ def invocations(path: str, witness: str, corrupted: str, member: str) -> dict[st
 
 
 def once_invocations(
-    queried: str, free: str, broken: str, respelled: str, mixed: str, failing: str, wide: str,
-    skew: str, skew_example4: str, witness: str,
+    queried: str, free: str, embedded: str, broken: str, respelled: str, mixed: str,
+    failing: str, wide: str, skew: str, skew_example4: str, witness: str,
 ) -> dict[str, list[str]]:
-    """The 30 invocations run once, in order, by report name: the second
+    """The 31 invocations run once, in order, by report name: the second
     and third write ``queried`` and ``free``, which later ones read,
+    ``embed`` writes ``embedded`` from ``queried``,
     ``broken`` holds ``{not json``, ``respell`` writes ``respelled``,
     ``mix`` writes ``mixed``, ``write_failing_tables`` writes ``failing``
     and ``wide``, ``write_skew_table`` writes ``skew``,
@@ -98,6 +101,7 @@ def once_invocations(
         "classify-no-queries": ["classify", free],
         "classify-no-queries-backward-pretty": ["classify", free, "--direction", "backward",
                                                 "--pretty"],
+        "classify-embedded": ["classify", embedded],
         "witness-emit-members": ["witness", queried, "--mode", "emit", "--members", "1"],
         "witness-check-no-path": ["witness", queried, "--mode", "check"],
         "approx-query-99": ["approx", queried, "--query", "99"],
@@ -132,6 +136,14 @@ def respell(plain: Path, respelled: Path) -> None:
             for k, c in enumerate(value)
         ]
     respelled.write_text(json.dumps(doc) + "\n")
+
+
+def embed(queried: Path, embedded: Path) -> None:
+    """Copy an Example 4 file with an embedding that maps each point to the
+    vector (coordinate, 1), so that ``classify`` runs the rank census."""
+    doc = json.loads(queried.read_text())
+    doc["embedding"] = {p["label"]: [p["coordinate"], "1"] for p in doc["points"]}
+    embedded.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def mix(plain: Path, mixed: Path) -> None:
@@ -271,13 +283,17 @@ def main(argv: list[str]) -> int:
     write_skew_table(out / "files" / "once" / "skew.json")
     write_skew_example4(out / "files" / "once" / "example4-skew-space.json")
     once = once_invocations(
-        "files/once/example4.json", "files/once/no-queries.json", "files/once/broken.json",
+        "files/once/example4.json", "files/once/no-queries.json",
+        "files/once/example4-embedded.json", "files/once/broken.json",
         "files/once/table30-respelled.json", "files/once/table30-mixed.json",
         "files/once/failing.json", "files/once/wide-failing.json", "files/once/skew.json",
         "files/once/example4-skew-space.json", "files/once/example4.witness.json",
     )
     for report, args in once.items():
         record(args, out / "reports" / "once", report)
+        if report == "example4-backward":
+            embed(out / "files" / "once" / "example4.json",
+                  out / "files" / "once" / "example4-embedded.json")
         if report == "witness-emit-file":
             edit_witness(out / "files" / "once" / "example4.witness.json")
     for report in broken:
